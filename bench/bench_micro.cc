@@ -1,14 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical library
 // primitives: FFT/DFT, PRACH detection, SINR aggregation, scheduler and
-// interference-manager epochs, JSON parsing for PAWS.
+// interference-manager epochs, CQI interference detection, JSON parsing for
+// PAWS.
 #include <benchmark/benchmark.h>
 
 #include "cellfi/chaos/invariants.h"
 #include "cellfi/common/fft.h"
 #include "cellfi/common/json.h"
 #include "cellfi/common/simd.h"
+#include "cellfi/core/cqi_detector.h"
 #include "cellfi/core/interference_manager.h"
 #include "cellfi/lte/enodeb.h"
+#include "cellfi/phy/cqi_mcs.h"
 #include "cellfi/phy/ofdm.h"
 #include "cellfi/phy/prach.h"
 #include "cellfi/radio/environment.h"
@@ -408,6 +411,28 @@ void BM_InterferenceManagerEpoch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InterferenceManagerEpoch);
+
+// One client's detector at the paper's sizes (13 sub-bands, 500-sample
+// window) fed a seeded stream of in-range CQI reports: the cost
+// CellfiController pays per on_cqi_report.
+void BM_CqiDetectorAddReport(benchmark::State& state) {
+  constexpr int kSubbands = 13;
+  Rng rng(3);
+  std::vector<std::vector<int>> reports(1024, std::vector<int>(kSubbands));
+  for (auto& report : reports) {
+    for (int& cqi : report) cqi = static_cast<int>(rng.UniformInt(0, kMaxCqi));
+  }
+  core::CqiDetectorConfig cfg;
+  cfg.max_window = 500;
+  core::CqiInterferenceDetector det(kSubbands, cfg);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    det.AddReport(reports[i]);
+    i = (i + 1) % reports.size();
+    benchmark::DoNotOptimize(det.LowStreak(0));
+  }
+}
+BENCHMARK(BM_CqiDetectorAddReport);
 
 void BM_PawsJsonRoundTrip(benchmark::State& state) {
   json::Value v;

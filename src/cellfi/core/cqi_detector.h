@@ -16,11 +16,18 @@
 // The paper measured <2 % false positives and ~80 % detection probability
 // on real hardware; large-scale runs inject those imperfections on top
 // (see CellfiControllerConfig).
+//
+// The window max is exact and O(1) per report: a CQI is a 4-bit value
+// (0..kMaxCqi), so each sub-band keeps a byte ring of its last `max_window`
+// samples, a count per CQI value and a mask of the values present; the max
+// is the mask's highest set bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
+
+#include "cellfi/phy/cqi_mcs.h"
 
 namespace cellfi::core {
 
@@ -35,9 +42,13 @@ struct CqiDetectorConfig {
 /// Detector state for one client (all sub-bands).
 class CqiInterferenceDetector {
  public:
+  /// Throws std::invalid_argument unless max_window >= 1,
+  /// consecutive >= 1 and ratio is in (0, 1].
   CqiInterferenceDetector(int num_subchannels, CqiDetectorConfig config = {});
 
-  /// Feed one decoded report (per-subchannel CQI).
+  /// Feed one decoded report (per-subchannel CQI). Entries beyond
+  /// num_subchannels() are ignored. Throws std::out_of_range, leaving the
+  /// detector unchanged, if a CQI it would use is outside [0, kMaxCqi].
   void AddReport(const std::vector<int>& subband_cqi);
 
   /// True if subchannel `s` currently triggers the interference rule.
@@ -56,13 +67,19 @@ class CqiInterferenceDetector {
 
  private:
   struct Band {
-    std::deque<int> window;  // recent samples for the running max
-    int low_streak = 0;      // temporal rule
-    double smoothed = -1.0;  // EWMA; -1 = no samples yet
-    int spectral_streak = 0; // spectral rule
+    std::array<int, kMaxCqi + 1> count{};  // window samples per CQI value
+    std::uint16_t present = 0;  // bit v set iff count[v] > 0
+    int size = 0;               // samples in the window
+    int next = 0;               // ring slot the next sample goes to
+    int low_streak = 0;         // temporal rule
+    double smoothed = -1.0;     // EWMA; -1 = no samples yet
+    int spectral_streak = 0;    // spectral rule
   };
   CqiDetectorConfig config_;
   std::vector<Band> bands_;
+  // Sub-band s's window ring is [s * max_window, (s + 1) * max_window),
+  // allocated by the constructor and never grown.
+  std::vector<std::uint8_t> ring_;
 };
 
 }  // namespace cellfi::core

@@ -1,5 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "cellfi/common/rng.h"
 #include "cellfi/core/cqi_detector.h"
 #include "cellfi/core/interference_manager.h"
 #include "cellfi/core/prach_sensor.h"
@@ -69,6 +78,186 @@ TEST(CqiDetectorTest, MaxTracksWindow) {
   // 15 slid out of the 5-sample window; max is now 7, so 7 is not "low".
   EXPECT_EQ(det.MaxCqi(0), 7);
   EXPECT_FALSE(det.Detected(0));
+}
+
+TEST(CqiDetectorTest, EvictingOneCopyOfTheMaxKeepsIt) {
+  CqiInterferenceDetector det(1, {.ratio = 0.6, .consecutive = 10, .max_window = 3});
+  det.AddReport({12});
+  det.AddReport({12});
+  det.AddReport({4});
+  det.AddReport({4});  // evicts the first 12; the second is still in the window
+  EXPECT_EQ(det.MaxCqi(0), 12);
+  det.AddReport({4});  // evicts the last 12
+  EXPECT_EQ(det.MaxCqi(0), 4);
+}
+
+TEST(CqiDetectorTest, MaxOfEmptyWindowIsZero) {
+  CqiInterferenceDetector det(2);
+  det.AddReport({9});  // ragged: sub-band 1 gets no sample
+  EXPECT_EQ(det.MaxCqi(0), 9);
+  EXPECT_EQ(det.MaxCqi(1), 0);
+}
+
+TEST(CqiDetectorTest, RejectsWindowBelowOne) {
+  EXPECT_THROW(CqiInterferenceDetector(1, {.max_window = 0}), std::invalid_argument);
+  EXPECT_THROW(CqiInterferenceDetector(1, {.max_window = -5}), std::invalid_argument);
+  EXPECT_NO_THROW(CqiInterferenceDetector(1, {.max_window = 1}));
+}
+
+TEST(CqiDetectorTest, RejectsConsecutiveBelowOne) {
+  EXPECT_THROW(CqiInterferenceDetector(1, {.consecutive = 0}), std::invalid_argument);
+  EXPECT_THROW(CqiInterferenceDetector(1, {.consecutive = -1}), std::invalid_argument);
+  EXPECT_NO_THROW(CqiInterferenceDetector(1, {.consecutive = 1}));
+}
+
+TEST(CqiDetectorTest, RejectsRatioOutsideUnitInterval) {
+  for (double ratio : {0.0, -0.5, 1.0000001, 2.0, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(CqiInterferenceDetector(1, {.ratio = ratio}), std::invalid_argument)
+        << "ratio " << ratio;
+  }
+  EXPECT_NO_THROW(CqiInterferenceDetector(1, {.ratio = 1.0}));
+  EXPECT_NO_THROW(CqiInterferenceDetector(1, {.ratio = 1e-9}));
+}
+
+TEST(CqiDetectorTest, OutOfRangeCqiThrowsAndLeavesStateUnchanged) {
+  CqiInterferenceDetector det(2);
+  for (int i = 0; i < 20; ++i) det.AddReport({10, 10});
+  for (int i = 0; i < 3; ++i) det.AddReport({5, 10});
+  for (const std::vector<int>& bad :
+       {std::vector<int>{kMaxCqi + 1, 10}, std::vector<int>{5, -1}, std::vector<int>{255, 255}}) {
+    EXPECT_THROW(det.AddReport(bad), std::out_of_range);
+    EXPECT_EQ(det.MaxCqi(0), 10);
+    EXPECT_EQ(det.LowStreak(0), 3);
+    EXPECT_EQ(det.MaxCqi(1), 10);
+    EXPECT_EQ(det.LowStreak(1), 0);
+  }
+  // Entries beyond num_subchannels are ignored, whatever their value.
+  EXPECT_NO_THROW(det.AddReport({5, 10, 99}));
+  EXPECT_EQ(det.LowStreak(0), 4);
+}
+
+// The detector as it was before the histogram window: a deque of recent
+// samples rescanned with max_element on every report. Kept as the oracle
+// the O(1) window is proven against.
+class DequeReferenceDetector {
+ public:
+  DequeReferenceDetector(int num_subchannels, CqiDetectorConfig config)
+      : config_(config), bands_(static_cast<std::size_t>(num_subchannels)) {}
+
+  void AddReport(const std::vector<int>& subband_cqi) {
+    const std::size_t n = std::min(subband_cqi.size(), bands_.size());
+    for (std::size_t s = 0; s < n; ++s) {
+      Band& band = bands_[s];
+      band.window.push_back(subband_cqi[s]);
+      if (static_cast<int>(band.window.size()) > config_.max_window) {
+        band.window.pop_front();
+      }
+      const int max_cqi = *std::max_element(band.window.begin(), band.window.end());
+      const double threshold = config_.ratio * static_cast<double>(max_cqi);
+      if (static_cast<double>(subband_cqi[s]) < threshold) {
+        ++band.low_streak;
+      } else {
+        band.low_streak = 0;
+      }
+      band.smoothed = band.smoothed < 0.0
+                          ? static_cast<double>(subband_cqi[s])
+                          : (1.0 - config_.smoothing) * band.smoothed +
+                                config_.smoothing * static_cast<double>(subband_cqi[s]);
+    }
+    if (config_.enable_spectral_rule) {
+      double best = 0.0;
+      for (std::size_t s = 0; s < n; ++s) best = std::max(best, bands_[s].smoothed);
+      for (std::size_t s = 0; s < n; ++s) {
+        Band& band = bands_[s];
+        if (band.smoothed < config_.ratio * best) {
+          ++band.spectral_streak;
+        } else {
+          band.spectral_streak = 0;
+        }
+      }
+    }
+  }
+
+  bool Detected(int s) const {
+    const Band& band = bands_[static_cast<std::size_t>(s)];
+    return band.low_streak >= config_.consecutive ||
+           band.spectral_streak >= config_.consecutive;
+  }
+  int MaxCqi(int s) const {
+    const Band& band = bands_[static_cast<std::size_t>(s)];
+    if (band.window.empty()) return 0;
+    return *std::max_element(band.window.begin(), band.window.end());
+  }
+  int LowStreak(int s) const { return bands_[static_cast<std::size_t>(s)].low_streak; }
+  double SmoothedCqi(int s) const { return bands_[static_cast<std::size_t>(s)].smoothed; }
+
+ private:
+  struct Band {
+    std::deque<int> window;
+    int low_streak = 0;
+    double smoothed = -1.0;
+    int spectral_streak = 0;
+  };
+  CqiDetectorConfig config_;
+  std::vector<Band> bands_;
+};
+
+testing::AssertionResult SameState(const CqiInterferenceDetector& det,
+                                   const DequeReferenceDetector& ref, int num_subchannels) {
+  for (int s = 0; s < num_subchannels; ++s) {
+    if (det.MaxCqi(s) != ref.MaxCqi(s) || det.LowStreak(s) != ref.LowStreak(s) ||
+        det.SmoothedCqi(s) != ref.SmoothedCqi(s) || det.Detected(s) != ref.Detected(s)) {
+      return testing::AssertionFailure()
+             << "sub-band " << s << ": max " << det.MaxCqi(s) << " vs " << ref.MaxCqi(s)
+             << ", low_streak " << det.LowStreak(s) << " vs " << ref.LowStreak(s)
+             << ", smoothed " << det.SmoothedCqi(s) << " vs " << ref.SmoothedCqi(s)
+             << ", detected " << det.Detected(s) << " vs " << ref.Detected(s);
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+// Seeded CQI streams over the full 0..kMaxCqi domain: each sub-band holds
+// a plateau (so the window fills with copies of its max) that jumps to a
+// new level now and then, with drops below it and uniform outliers mixed
+// in. Reports are ragged: some shorter and some longer than the detector.
+TEST(CqiDetectorTest, MatchesDequeReferenceOnRandomStreams) {
+  for (int window : {1, 2, 5, 16, 500}) {
+    for (int subchannels : {1, 13}) {
+      for (bool spectral : {true, false}) {
+        const CqiDetectorConfig cfg{.ratio = 0.6,
+                                    .consecutive = 10,
+                                    .max_window = window,
+                                    .smoothing = 0.1,
+                                    .enable_spectral_rule = spectral};
+        CqiInterferenceDetector det(subchannels, cfg);
+        DequeReferenceDetector ref(subchannels, cfg);
+        Rng rng(static_cast<std::uint64_t>(window * 131 + subchannels * 7 + (spectral ? 1 : 0)));
+        std::vector<int> level(static_cast<std::size_t>(subchannels + 3), kMaxCqi);
+        const int reports = 3 * window + 2000;
+        for (int r = 0; r < reports; ++r) {
+          const auto len = static_cast<std::size_t>(rng.UniformInt(0, subchannels + 3));
+          std::vector<int> report(len);
+          for (std::size_t s = 0; s < len; ++s) {
+            const double u = rng.Uniform();
+            if (u < 0.03) level[s] = static_cast<int>(rng.UniformInt(0, kMaxCqi));
+            if (u < 0.15) {
+              report[s] = static_cast<int>(rng.UniformInt(0, level[s]));  // drop
+            } else if (u < 0.2) {
+              report[s] = static_cast<int>(rng.UniformInt(0, kMaxCqi));
+            } else {
+              report[s] = level[s];
+            }
+          }
+          det.AddReport(report);
+          ref.AddReport(report);
+          ASSERT_TRUE(SameState(det, ref, subchannels))
+              << "window " << window << ", " << subchannels << " sub-bands, spectral "
+              << spectral << ", after report " << r;
+        }
+      }
+    }
+  }
 }
 
 InterferenceManagerConfig ImConfig(int subchannels = 13) {
