@@ -1,9 +1,11 @@
 #include "cellfi/common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <system_error>
 
 namespace cellfi::json {
 
@@ -84,7 +86,11 @@ void DumpValue(const Value& v, std::ostringstream& out) {
   }
 }
 
-// Recursive-descent parser.
+// Recursive-descent parser. Nesting is capped at kMaxDepth arrays/objects
+// so hostile input (a PAWS response, a fault plan, a sweep checkpoint)
+// cannot overflow the stack; no document the simulator writes comes near.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -124,8 +130,13 @@ class Parser {
     SkipWs();
     if (pos_ >= text_.size()) return std::nullopt;
     char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) return std::nullopt;
+      ++depth_;
+      auto v = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       auto s = ParseString();
       if (!s) return std::nullopt;
@@ -188,23 +199,36 @@ class Parser {
     return std::nullopt;  // unterminated
   }
 
+  bool IsDigitAt(std::size_t i) const {
+    return i < text_.size() && std::isdigit(static_cast<unsigned char>(text_[i]));
+  }
+
+  void SkipDigits() {
+    while (IsDigitAt(pos_)) ++pos_;
+  }
+
+  // RFC 8259 number: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  // Validated here, then converted (correctly rounded) by std::from_chars.
   std::optional<Value> ParseNumber() {
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    bool digits = false;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '-' ||
-            text_[pos_] == '+')) {
-      if (std::isdigit(static_cast<unsigned char>(text_[pos_]))) digits = true;
+    const std::size_t start = pos_;
+    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    if (!IsDigitAt(pos_)) return std::nullopt;
+    if (text_[pos_++] != '0') SkipDigits();
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      if (!IsDigitAt(++pos_)) return std::nullopt;
+      SkipDigits();
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
+      if (!IsDigitAt(pos_)) return std::nullopt;
+      SkipDigits();
     }
-    if (!digits) return std::nullopt;
-    try {
-      return Value(std::stod(text_.substr(start, pos_ - start)));
-    } catch (...) {
-      return std::nullopt;
+    double d = 0.0;
+    if (std::from_chars(text_.data() + start, text_.data() + pos_, d).ec != std::errc()) {
+      return std::nullopt;  // out of double range
     }
+    return Value(d);
   }
 
   std::optional<Value> ParseArray() {
@@ -241,6 +265,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

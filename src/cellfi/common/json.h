@@ -65,7 +65,9 @@ class Value {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> data_;
 };
 
-/// Parse a JSON document. Returns nullopt on malformed input.
+/// Parse a JSON document. Returns nullopt on malformed input, including
+/// numbers outside the RFC 8259 grammar (`+1`, `01`, `1.`, `1e`), numbers
+/// that overflow a double, and arrays/objects nested deeper than 256.
 std::optional<Value> Parse(const std::string& text);
 
 }  // namespace cellfi::json

@@ -1,8 +1,8 @@
 #include "cellfi/radio/environment.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "cellfi/common/simd.h"
@@ -18,12 +18,13 @@ RadioEnvironment::RadioEnvironment(const PathLossModel& pathloss,
               config.rician_k) {}
 
 RadioNodeId RadioEnvironment::AddNode(RadioNode node) {
+  // O(n): one unset column per existing row, then the new node's row.
+  // Rows are sized here, never on read, so the per-interferer SINR path
+  // pays no size check and concurrent workers never resize a row.
+  for (std::vector<double>& row : rx_mw_rows_) row.push_back(kUnsetMw);
   nodes_.push_back(node);
-  gain_cache_.assign(nodes_.size() * nodes_.size(),
-                     std::numeric_limits<double>::quiet_NaN());
-  rx_mw_cache_.assign(nodes_.size() * nodes_.size(),
-                      std::numeric_limits<double>::quiet_NaN());
-  noise_mw_cache_.assign(nodes_.size(), NoiseMemo{});
+  rx_mw_rows_.emplace_back(nodes_.size(), kUnsetMw);
+  noise_mw_cache_.emplace_back();
   ++position_epoch_;
   return static_cast<RadioNodeId>(nodes_.size() - 1);
 }
@@ -31,32 +32,21 @@ RadioNodeId RadioEnvironment::AddNode(RadioNode node) {
 void RadioEnvironment::MoveNode(RadioNodeId id, Point new_position) {
   assert(id < nodes_.size());
   nodes_[id].position = new_position;
-  const std::size_t n = nodes_.size();
-  for (std::size_t other = 0; other < n; ++other) {
-    gain_cache_[id * n + other] = std::numeric_limits<double>::quiet_NaN();
-    gain_cache_[other * n + id] = std::numeric_limits<double>::quiet_NaN();
-    rx_mw_cache_[id * n + other] = std::numeric_limits<double>::quiet_NaN();
-    rx_mw_cache_[other * n + id] = std::numeric_limits<double>::quiet_NaN();
-  }
+  std::fill(rx_mw_rows_[id].begin(), rx_mw_rows_[id].end(), kUnsetMw);
+  for (std::vector<double>& row : rx_mw_rows_) row[id] = kUnsetMw;
   ++position_epoch_;
 }
 
 double RadioEnvironment::LinkGainDb(RadioNodeId tx, RadioNodeId rx) const {
   assert(tx < nodes_.size() && rx < nodes_.size());
   assert(tx != rx);
-  double& cached = gain_cache_[tx * nodes_.size() + rx];
-  if (!std::isnan(cached)) return cached;
-
   const RadioNode& t = nodes_[tx];
   const RadioNode& r = nodes_[rx];
   const double dist = Distance(t.position, r.position);
   const double loss = pathloss_.LossDb(dist, config_.carrier_freq_hz);
-  const double gain = t.antenna.GainTowards(t.position, r.position) +
-                      r.antenna.GainTowards(r.position, t.position) - loss +
-                      shadowing_.ShadowDb(tx, rx);
-  cached = gain;
-  gain_cache_[rx * nodes_.size() + tx] = gain;  // reciprocal channel
-  return gain;
+  return t.antenna.GainTowards(t.position, r.position) +
+         r.antenna.GainTowards(r.position, t.position) - loss +
+         shadowing_.ShadowDb(tx, rx);
 }
 
 double RadioEnvironment::MeanRxPowerDbm(RadioNodeId tx, RadioNodeId rx) const {
@@ -64,8 +54,7 @@ double RadioEnvironment::MeanRxPowerDbm(RadioNodeId tx, RadioNodeId rx) const {
 }
 
 double RadioEnvironment::MeanRxPowerMw(RadioNodeId tx, RadioNodeId rx) const {
-  // Receiver-major: all powers arriving at `rx` share one contiguous row.
-  double& cached = rx_mw_cache_[rx * nodes_.size() + tx];
+  double& cached = rx_mw_rows_[rx][tx];
   if (std::isnan(cached)) cached = DbmToMw(MeanRxPowerDbm(tx, rx));
   return cached;
 }
@@ -103,8 +92,7 @@ double RadioEnvironment::SinrDb(RadioNodeId tx, RadioNodeId rx, std::uint32_t su
                                 double bandwidth_hz, double signal_scale) const {
   // Fully linear hot path: the receiver's contiguous mean-power row plus
   // the memoized noise floor leave only the fading hash per term.
-  const std::size_t n = nodes_.size();
-  double* row = &rx_mw_cache_[rx * n];
+  double* row = rx_mw_rows_[rx].data();
   double signal_mw = row[tx];
   if (std::isnan(signal_mw)) signal_mw = row[tx] = DbmToMw(MeanRxPowerDbm(tx, rx));
   signal_mw *= signal_scale;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -65,7 +66,7 @@ class RadioEnvironment {
   /// Register a node; returns its id.
   RadioNodeId AddNode(RadioNode node);
 
-  /// Move a node (mobility). Invalidates the cached link gains involving
+  /// Move a node (mobility). Invalidates the cached mean powers involving
   /// it; O(n) per move, intended for coarse-grained position updates
   /// (hundreds of ms), not per-subframe motion.
   void MoveNode(RadioNodeId id, Point new_position);
@@ -74,7 +75,8 @@ class RadioEnvironment {
   const RadioNode& node(RadioNodeId id) const { return nodes_[id]; }
 
   /// Large-scale link gain (antenna gains - path loss - shadowing), dB.
-  /// Symmetric. Cached after first computation.
+  /// A pure function of geometry, recomputed on every call, and exactly
+  /// reciprocal: LinkGainDb(a, b) == LinkGainDb(b, a) bit for bit.
   double LinkGainDb(RadioNodeId tx, RadioNodeId rx) const;
 
   /// Received power from `tx` at `rx` on `subchannel` at time `now`,
@@ -125,11 +127,12 @@ class RadioEnvironment {
   ShadowingField shadowing_;
   FadingProcess fading_;
   std::vector<RadioNode> nodes_;
-  mutable std::vector<double> gain_cache_;  // n*n link gain dB, NaN = unset
-  /// n*n mean rx power mW, NaN = unset. Receiver-major: row rx*n holds the
-  /// power received at `rx` from every transmitter contiguously, so one
-  /// SINR aggregation walks a single cache line run instead of striding.
-  mutable std::vector<double> rx_mw_cache_;
+  static constexpr double kUnsetMw = std::numeric_limits<double>::quiet_NaN();
+  /// The one link store: mean rx power in mW, NaN = unset. Receiver-major:
+  /// rx_mw_rows_[rx][tx] is the power received at `rx` from `tx`, so one
+  /// SINR aggregation walks a single contiguous row. Every row has
+  /// node_count() entries (AddNode grows them), so reads never resize.
+  mutable std::vector<std::vector<double>> rx_mw_rows_;
   /// Per-receiver two-slot (bandwidth_hz, noise_mw) memo for NoiseMw,
   /// most-recently-used first. One slot thrashes when callers alternate
   /// between subchannel and full-band noise at the same receiver.

@@ -44,6 +44,32 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(Parse("{\"a\":1,}").has_value());
 }
 
+TEST(JsonTest, NumbersFollowRfc8259Grammar) {
+  EXPECT_EQ(Parse("0")->as_number(), 0.0);
+  EXPECT_EQ(Parse("-0.5")->as_number(), -0.5);
+  EXPECT_EQ(Parse("1E+2")->as_number(), 100.0);
+  EXPECT_EQ(Parse("2.5e-3")->as_number(), 2.5e-3);
+  EXPECT_EQ(Parse("47.640000000000001")->as_number(), 47.64);
+  EXPECT_EQ(Parse("[-122.13]")->as_array()[0].as_number(), -122.13);
+  for (const char* bad : {"1e", "1e+", "1-2", "+1", "01", "-01", "1.", ".5", "-",
+                          "1.e3", "--1", "1ee2", "0x10", "1e400", "[01]", "[1.]"}) {
+    EXPECT_FALSE(Parse(bad).has_value()) << bad;
+  }
+}
+
+TEST(JsonTest, NestingDepthIsBounded) {
+  // Deep nesting used to overflow the recursive-descent stack (SIGSEGV).
+  EXPECT_FALSE(Parse(std::string(200000, '[')).has_value());
+  EXPECT_FALSE(Parse(std::string(200000, '[') + std::string(200000, ']')).has_value());
+  std::string deep_object;
+  for (int i = 0; i < 100000; ++i) deep_object += "{\"a\":";
+  EXPECT_FALSE(Parse(deep_object).has_value());
+
+  // 256 levels parse; the 257th is refused.
+  EXPECT_TRUE(Parse(std::string(256, '[') + std::string(256, ']')).has_value());
+  EXPECT_FALSE(Parse(std::string(257, '[') + std::string(257, ']')).has_value());
+}
+
 TEST(JsonTest, DumpParsesBack) {
   Value v;
   v["deviceDesc"]["serialNumber"] = "cellfi-ap-001";

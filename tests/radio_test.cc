@@ -1,4 +1,5 @@
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -190,10 +191,10 @@ TEST_F(EnvironmentTest, MeanSnrMatchesManualBudget) {
   EXPECT_NEAR(env_.MeanSnrDb(ap_, ue_near_, 4.5e6), expected, 1e-9);
 }
 
-// Regression: SinrDb caches per-receiver linear rx-power rows (and
-// MeanRxPowerMw caches link gains). MoveNode must invalidate every cached
-// value involving the moved node — both as signal source and interferer —
-// or stale powers survive the move.
+// Regression: SinrDb and MeanRxPowerMw share one cache of per-receiver
+// linear rx-power rows. MoveNode must invalidate every cached value
+// involving the moved node — both as signal source and interferer — or
+// stale powers survive the move.
 TEST_F(EnvironmentTest, MoveNodeInvalidatesSinrCaches) {
   const std::vector<ActiveTransmitter> interferers{
       {.node = interferer_, .power_scale = 1.0}};
@@ -229,6 +230,102 @@ TEST_F(EnvironmentTest, MoveNodeInvalidatesSinrCaches) {
   fresh.MoveNode(near2, {700, 100});
   EXPECT_DOUBLE_EQ(env_.SinrDb(ap_, ue_near_, 0, 0, interferers, 4.5e6),
                    fresh.SinrDb(ap2, near2, 0, 0, interferers2, 4.5e6));
+}
+
+// Shadowing and fading on (the defaults), so every term of the link
+// budget that depends on node order or time is live.
+RadioEnvironmentConfig FullChannelConfig() {
+  RadioEnvironmentConfig c;
+  c.carrier_freq_hz = kTvwsFreq;
+  c.seed = 7;
+  return c;
+}
+
+// The link gain is a pure function of geometry, and exactly reciprocal:
+// the two antenna terms commute, std::hypot is sign-symmetric and
+// ShadowDb orders its ids. Whichever end is queried first, both
+// directions give the same double.
+TEST(EnvironmentLinkGainTest, ExactlyReciprocalInBothCallOrders) {
+  const FreeSpacePathLoss pathloss;
+  const RadioNode sector{.position = {10.0, -20.0},
+                         .antenna = Antenna::Sector(14.0, 0.7, 1.2, 20.0),
+                         .tx_power_dbm = 33.0};
+  // Inside the sector's main lobe but off boresight: the sector term
+  // depends on the bearing and is not clipped at the front-to-back floor.
+  const RadioNode omni{.position = {320.75, 371.5}, .tx_power_dbm = 20.0};
+  RadioEnvironment ab(pathloss, FullChannelConfig());
+  RadioEnvironment ba(pathloss, FullChannelConfig());
+  const RadioNodeId a = ab.AddNode(sector);
+  const RadioNodeId b = ab.AddNode(omni);
+  (void)ba.AddNode(sector);
+  (void)ba.AddNode(omni);
+
+  const double ab_first = ab.LinkGainDb(a, b);
+  const double ab_second = ab.LinkGainDb(b, a);
+  const double ba_first = ba.LinkGainDb(b, a);
+  const double ba_second = ba.LinkGainDb(a, b);
+  EXPECT_EQ(ab_first, ab_second);
+  EXPECT_EQ(ba_first, ba_second);
+  EXPECT_EQ(ab_first, ba_first);
+  const double sector_gain = sector.antenna.GainTowards(sector.position, omni.position);
+  EXPECT_LT(sector_gain, 14.0);
+  EXPECT_GT(sector_gain, 14.0 - 20.0);
+}
+
+// AddNode keeps the link powers already filled and MoveNode resets only
+// the moved node's row and column. Interleaving adds, queries and moves
+// must leave every link exactly where a fresh environment holding the
+// final topology puts it.
+TEST(EnvironmentLinkGainTest, InterleavedAddQueryMoveMatchesFreshBuild) {
+  const FreeSpacePathLoss pathloss;
+  std::vector<RadioNode> final_nodes;
+  for (int i = 0; i < 7; ++i) {
+    RadioNode n{.position = {137.0 * i, -91.0 * (i % 3)},
+                .tx_power_dbm = 20.0 + i};
+    if (i % 3 == 0) n.antenna = Antenna::Sector(14.0, 0.5 * i, 1.2, 20.0);
+    final_nodes.push_back(n);
+  }
+  final_nodes[1].position = {-400.0, 250.0};  // where node 1 ends up
+  final_nodes[4].position = {75.0, 610.0};    // where node 4 ends up
+
+  RadioEnvironment grown(pathloss, FullChannelConfig());
+  auto all_active = [&grown]() {
+    std::vector<ActiveTransmitter> v;
+    for (RadioNodeId n = 0; n < grown.node_count(); ++n) {
+      v.push_back({.node = n, .power_scale = 1.0});
+    }
+    return v;
+  };
+  for (std::size_t i = 0; i < final_nodes.size(); ++i) {
+    RadioNode n = final_nodes[i];
+    if (i == 1 || i == 4) n.position = {0.5 * i, 3.0 * i};  // moved later
+    const RadioNodeId id = grown.AddNode(n);
+    // Fill the store from both ends of every link so far.
+    for (RadioNodeId other = 0; other < id; ++other) {
+      (void)grown.MeanRxPowerMw(other, id);
+      (void)grown.SinrDb(id, other, 0, 0, all_active(), 4.5e6);
+    }
+    if (i == 3) grown.MoveNode(1, final_nodes[1].position);
+  }
+  grown.MoveNode(4, final_nodes[4].position);
+  (void)grown.SinrDb(0, 4, 1, 0, all_active(), 4.5e6);
+
+  RadioEnvironment fresh(pathloss, FullChannelConfig());
+  for (const RadioNode& n : final_nodes) (void)fresh.AddNode(n);
+
+  const std::vector<ActiveTransmitter> interferers = all_active();
+  ASSERT_EQ(grown.node_count(), fresh.node_count());
+  for (RadioNodeId rx = 0; rx < fresh.node_count(); ++rx) {
+    for (RadioNodeId tx = 0; tx < fresh.node_count(); ++tx) {
+      if (tx == rx) continue;
+      EXPECT_EQ(grown.LinkGainDb(tx, rx), fresh.LinkGainDb(tx, rx)) << tx << "->" << rx;
+      EXPECT_EQ(grown.MeanRxPowerMw(tx, rx), fresh.MeanRxPowerMw(tx, rx))
+          << tx << "->" << rx;
+      EXPECT_EQ(grown.SinrDb(tx, rx, 2, 30 * kMillisecond, interferers, 4.5e6),
+                fresh.SinrDb(tx, rx, 2, 30 * kMillisecond, interferers, 4.5e6))
+          << tx << "->" << rx;
+    }
+  }
 }
 
 // NoiseMw keeps a two-slot MRU memo per receiver: MAC layers alternate

@@ -4,12 +4,14 @@
 # Runs, in order, failing fast on any regression:
 #   1. check preset   : hardened warnings + -Werror build, ctest -L ci
 #                       (unit tests + lint_test + lint_selftest)
-#   2. sanitize preset: ASan+UBSan build, full ctest
+#   2. sanitize preset: ASan+UBSan build, full ctest — every label,
+#                       trace / chaos / traffic included (run one label
+#                       alone with `ctest --preset sanitize -L <label>`)
 #   3. clang-tidy     : tools/run_tidy.sh against the frozen baseline
 #                       (skips cleanly when clang-tidy is not installed)
 #
-# Usage: tools/check.sh [--fast] [--bench] [--trace] [--chaos] [--shard]
-#                       [--simd] [--purity] [--traffic] [--static]
+# Usage: tools/check.sh [--fast] [--bench] [--shard] [--simd] [--purity]
+#                       [--static]
 #   --fast   skip the sanitizer stage (inner-loop use; CI runs everything)
 #   --bench  additionally run the bench_smoke suite (1-rep end-to-end runs
 #            of every sweep bench, including the bench_scale bit-identity
@@ -18,14 +20,6 @@
 #            bench/baselines/) with tools/bench_compare.py; a >20%
 #            per-point wall-time regression fails the gate, while brand-new
 #            labels are reported but pass (--allow-new-labels).
-#   --trace  additionally run the observability suite (`ctest -L trace`:
-#            golden trace, vacate trace checks, trace_check.py selftest)
-#            under the ASan+UBSan build. Implies the sanitize configure
-#            even with --fast.
-#   --chaos  additionally run the chaos suite (`ctest -L chaos`: fault
-#            plans, invariant checker, campaign bit-identity, sweep
-#            supervisor) under the ASan+UBSan build. Implies the sanitize
-#            configure even with --fast.
 #   --shard  additionally build the sanitize-tsan preset and run the shard
 #            suite (`ctest -L shard`: worker pool, neighbor graph, shard
 #            grid, multi-threaded subframe bit-identity) under
@@ -40,11 +34,6 @@
 #            (tools/cellfi_purity.py --repo . --strict-allow) against the
 #            frozen (empty) baseline — the static proof of the DESIGN.md
 #            §16 determinism contracts.
-#   --traffic additionally run the aggregate-load suite (`ctest -L
-#            traffic`: generator units, sensor bookkeeping, aggregate-vs-
-#            full-sim cross-validation, flash-crowd hop trigger, golden
-#            diurnal trace, tier bit-identity) under the ASan+UBSan build.
-#            Implies the sanitize configure even with --fast.
 #   --static run ONLY the static gates — determinism lint (--strict-allow),
 #            clang-tidy vs baseline, and the purity analyzer — with a
 #            configure-only cmake step for compile_commands.json and no
@@ -57,23 +46,17 @@ cd "$ROOT"
 
 FAST=0
 BENCH=0
-TRACE=0
-CHAOS=0
 SHARD=0
 SIMD=0
 PURITY=0
-TRAFFIC=0
 STATIC=0
 for arg in "$@"; do
   case "$arg" in
     --fast) FAST=1 ;;
     --bench) BENCH=1 ;;
-    --trace) TRACE=1 ;;
-    --chaos) CHAOS=1 ;;
     --shard) SHARD=1 ;;
     --simd) SIMD=1 ;;
     --purity) PURITY=1 ;;
-    --traffic) TRAFFIC=1 ;;
     --static) STATIC=1 ;;
     *) echo "check.sh: unknown argument '$arg'" >&2; exit 2 ;;
   esac
@@ -115,29 +98,6 @@ if [[ "$FAST" -eq 0 ]]; then
   ctest --preset sanitize
 else
   step "skipping sanitize stage (--fast)"
-fi
-
-if [[ "$TRACE" -eq 1 || "$CHAOS" -eq 1 || "$TRAFFIC" -eq 1 ]]; then
-  if [[ "$FAST" -eq 1 ]]; then
-    step "configure + build (sanitize preset, for --trace/--chaos/--traffic)"
-    cmake --preset sanitize
-    cmake --build --preset sanitize -j "$(nproc)"
-  fi
-fi
-
-if [[ "$TRACE" -eq 1 ]]; then
-  step "observability suite under ASan+UBSan (ctest -L trace)"
-  ctest --test-dir "$ROOT/build-sanitize" -L trace --output-on-failure
-fi
-
-if [[ "$CHAOS" -eq 1 ]]; then
-  step "chaos suite under ASan+UBSan (ctest -L chaos)"
-  ctest --test-dir "$ROOT/build-sanitize" -L chaos --output-on-failure
-fi
-
-if [[ "$TRAFFIC" -eq 1 ]]; then
-  step "aggregate-load traffic suite under ASan+UBSan (ctest -L traffic)"
-  ctest --test-dir "$ROOT/build-sanitize" -L traffic --output-on-failure
 fi
 
 if [[ "$SHARD" -eq 1 ]]; then
