@@ -15,6 +15,7 @@
 #include "cellfi/phy/ofdm.h"
 #include "cellfi/phy/prach.h"
 #include "cellfi/radio/environment.h"
+#include "cellfi/radio/fading.h"
 #include "cellfi/radio/interference.h"
 #include "cellfi/radio/pathloss.h"
 #include "cellfi/radio/shard_grid.h"
@@ -230,7 +231,24 @@ void BM_PrachDetectAllBank(benchmark::State& state) {
 }
 BENCHMARK(BM_PrachDetectAllBank)->Arg(4)->Arg(8);
 
-void BM_SinrAggregation(benchmark::State& state) {
+void BM_FadingPowerGain(benchmark::State& state) {
+  // One uncached fading gain (four SplitMix64 rounds and a log): what
+  // SinrDb paid per term before the fading-gain cache, and what it still
+  // pays once per (tx, subchannel, coherence block).
+  const FadingProcess fading(9);
+  SimTime now = 0;
+  std::uint32_t s = 0;
+  for (auto _ : state) {
+    now += kMillisecond;
+    s = (s + 1) % 13;
+    benchmark::DoNotOptimize(fading.PowerGain(1, 2, s, now));
+  }
+}
+BENCHMARK(BM_FadingPowerGain);
+
+// Per-link fading-on SINR over `range(0)` interferers, `now` advancing by
+// `step` per query.
+void SinrAggregation(benchmark::State& state, SimTime step) {
   static HataUrbanPathLoss pathloss;
   RadioEnvironmentConfig cfg;
   cfg.enable_fading = true;
@@ -247,11 +265,24 @@ void BM_SinrAggregation(benchmark::State& state) {
   }
   SimTime now = 0;
   for (auto _ : state) {
-    now += kMillisecond;
+    now += step;
     benchmark::DoNotOptimize(env.SinrDb(tx, rx, 3, now, interferers, 360e3, 1.0 / 13.0));
   }
 }
+
+void BM_SinrAggregation(benchmark::State& state) {
+  // 1 ms steps: 49 of every 50 queries stay in the 50 ms coherence block
+  // of the one before, so almost every fading gain is a cache hit.
+  SinrAggregation(state, kMillisecond);
+}
 BENCHMARK(BM_SinrAggregation)->Arg(4)->Arg(14)->Arg(50);
+
+void BM_SinrAggregationBlockBoundary(benchmark::State& state) {
+  // One full coherence time per query: every query opens a new block, so
+  // every fading gain misses the cache and is recomputed.
+  SinrAggregation(state, RadioEnvironmentConfig{}.fading_coherence_time);
+}
+BENCHMARK(BM_SinrAggregationBlockBoundary)->Arg(4)->Arg(14)->Arg(50);
 
 // Shared setup for the interference-engine kernels: `n` cells all
 // transmitting full-band (13 subchannels, flat PSD) and one receiver,

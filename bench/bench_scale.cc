@@ -19,6 +19,10 @@
 // shard count unobservable), and engine must equal legacy where legacy
 // runs. Any mismatch fails the bench.
 //
+// Every replication also runs under a record-mode runtime invariant
+// checker (DESIGN.md §14); the bench prints the checks run and fails on
+// any violation.
+//
 // The sweep runner is pinned to ONE thread so replication-level
 // parallelism does not absorb the cores the shard pool is being measured
 // on; shard threads derive from hardware concurrency (the >= 2x shards=4
@@ -168,8 +172,10 @@ int main() {
       }
     }
   }
-  const auto outcomes = runner.Run(jobs);
+  InvariantTally invariants;
+  const auto outcomes = runner.Run(jobs, invariants.Body());
   ThrowIfFailed(outcomes);
+  if (!invariants.Report(std::cout)) return 1;
 
   const auto result_of = [&](int point, int rep) -> const ScenarioResult* {
     for (const ReplicationOutcome& o : outcomes) {

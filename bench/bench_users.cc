@@ -10,7 +10,9 @@
 // Built-in bit-identity gate: every point runs twice with the same seed
 // and shared topology; the two ScenarioResult JSON dumps must match to
 // the last byte (the tier is counter-drawn — no stateful RNG anywhere in
-// the generator path). Any mismatch fails the bench.
+// the generator path). Any mismatch fails the bench. Every replication
+// also runs under a record-mode runtime invariant checker (DESIGN.md
+// §14); the bench prints the checks run and fails on any violation.
 //
 // Populations default to 1k/10k/100k/1M (CELLFI_BENCH_USERS_POPS
 // overrides, comma-separated, for targeted runs).
@@ -85,8 +87,10 @@ int main() {
                                  "users=" + std::to_string(pops[pi])});
     }
   }
-  const auto outcomes = runner.Run(jobs);
+  InvariantTally invariants;
+  const auto outcomes = runner.Run(jobs, invariants.Body());
   ThrowIfFailed(outcomes);
+  if (!invariants.Report(std::cout)) return 1;
 
   // Bit-identity gate: rep 0 == rep 1 at every population.
   for (std::size_t pi = 0; pi < pops.size(); ++pi) {

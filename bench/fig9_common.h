@@ -3,6 +3,14 @@
 // 6 MHz Wi-Fi, 30 dBm APs, 20 dBm LTE clients, 30 dBm Wi-Fi clients.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <mutex>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "cellfi/chaos/invariants.h"
 #include "cellfi/scenario/harness.h"
 #include "cellfi/scenario/sweep.h"
 
@@ -47,5 +55,48 @@ inline const char* TechName(Technology tech) {
   }
   return "?";
 }
+
+/// Runs every replication of a sweep under its own record-mode
+/// chaos::InvariantChecker (DESIGN.md §14), so a bench enforces the
+/// leased-transmit, vacate, share-sum and PRB invariants at the scale it
+/// measures. Recording never changes a simulation outcome.
+class InvariantTally {
+ public:
+  /// Body for SweepRunner::Run over jobs with a pre-built topology:
+  /// RunScenarioOn inside an InvariantScope.
+  ReplicationBody Body() {
+    return [this](const Replication& job) {
+      chaos::InvariantChecker checker;
+      ScenarioResult result;
+      {
+        chaos::InvariantScope scope(&checker);
+        result = RunScenarioOn(job.config, *job.topology);
+      }
+      std::lock_guard<std::mutex> lock(mu_);
+      checks_ += checker.checks_run();
+      for (const chaos::InvariantViolation& v : checker.violations()) {
+        violations_.push_back(job.label + " rep " + std::to_string(job.rep) + ": " +
+                              chaos::InvariantKindName(v.kind) + " at instance " +
+                              std::to_string(v.instance) + ", " + v.detail);
+      }
+      return result;
+    };
+  }
+
+  /// Prints the checks run and every violation; false if there was one.
+  bool Report(std::ostream& out) {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::sort(violations_.begin(), violations_.end());  // completion order varies
+    out << "Invariant checks: " << checks_ << " run, " << violations_.size()
+        << " violations\n";
+    for (const std::string& v : violations_) out << "FAIL: invariant " << v << "\n";
+    return violations_.empty();
+  }
+
+ private:
+  std::mutex mu_;
+  std::uint64_t checks_ = 0;
+  std::vector<std::string> violations_;
+};
 
 }  // namespace fig9

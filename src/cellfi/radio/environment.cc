@@ -25,6 +25,8 @@ RadioNodeId RadioEnvironment::AddNode(RadioNode node) {
   nodes_.push_back(node);
   rx_mw_rows_.emplace_back(nodes_.size(), kUnsetMw);
   noise_mw_cache_.emplace_back();
+  // O(1): an empty row, sized on the receiver's first fading query.
+  if (config_.enable_fading) fading_rows_.emplace_back();
   ++position_epoch_;
   return static_cast<RadioNodeId>(nodes_.size() - 1);
 }
@@ -59,13 +61,6 @@ double RadioEnvironment::MeanRxPowerMw(RadioNodeId tx, RadioNodeId rx) const {
   return cached;
 }
 
-double RadioEnvironment::RxPowerDbm(RadioNodeId tx, RadioNodeId rx,
-                                    std::uint32_t subchannel, SimTime now) const {
-  double p = MeanRxPowerDbm(tx, rx);
-  if (config_.enable_fading) p += fading_.GainDb(tx, rx, subchannel, now);
-  return p;
-}
-
 double RadioEnvironment::NoiseDbm(RadioNodeId rx, double bandwidth_hz) const {
   return NoisePowerDbm(bandwidth_hz, nodes_[rx].noise_figure_db);
 }
@@ -86,17 +81,58 @@ double RadioEnvironment::NoiseMw(RadioNodeId rx, double bandwidth_hz) const {
   return memo.noise_mw[0];
 }
 
+void RadioEnvironment::FadingGainRow::Fit(std::size_t node_count,
+                                          std::uint32_t subchannel, std::int64_t block) {
+  if (run_of_tx_.size() < node_count) run_of_tx_.resize(node_count, kNoRun);
+  if (block != block_) {
+    // Another block, later or earlier: every gain of the row is stale.
+    std::fill(gains_.begin(), gains_.end(), kUnsetGain);
+    block_ = block;
+  }
+  if (subchannel < width_) return;
+  // Re-lay every run at the new width; rare (a receiver's first queries of
+  // ever higher subchannels), and the gains already there are kept.
+  const std::uint32_t width = subchannel + 1;
+  const std::size_t runs = width_ == 0 ? 0 : gains_.size() / width_;
+  std::vector<double> wider(runs * width, kUnsetGain);
+  for (std::size_t r = 0; r < runs; ++r) {
+    std::copy_n(gains_.begin() + static_cast<std::ptrdiff_t>(r * width_), width_,
+                wider.begin() + static_cast<std::ptrdiff_t>(r * width));
+  }
+  gains_.swap(wider);
+  width_ = width;
+}
+
+double RadioEnvironment::FadingGainRow::Gain(const FadingProcess& fading, RadioNodeId tx,
+                                             RadioNodeId rx, std::uint32_t subchannel) {
+  std::uint32_t run = run_of_tx_[tx];
+  if (run == kNoRun) {
+    run = static_cast<std::uint32_t>(gains_.size() / width_);
+    run_of_tx_[tx] = run;
+    gains_.resize(gains_.size() + width_, kUnsetGain);
+  }
+  double& gain = gains_[static_cast<std::size_t>(run) * width_ + subchannel];
+  if (std::isnan(gain)) gain = fading.PowerGainInBlock(tx, rx, subchannel, block_);
+  return gain;
+}
+
 double RadioEnvironment::SinrDb(RadioNodeId tx, RadioNodeId rx, std::uint32_t subchannel,
                                 SimTime now,
                                 const std::vector<ActiveTransmitter>& interferers,
                                 double bandwidth_hz, double signal_scale) const {
-  // Fully linear hot path: the receiver's contiguous mean-power row plus
-  // the memoized noise floor leave only the fading hash per term.
+  // Fully linear hot path: the receiver's contiguous mean-power row, its
+  // fading-gain cache and the memoized noise floor. A fading hash is paid
+  // once per (tx, subchannel, coherence block), not once per term.
   double* row = rx_mw_rows_[rx].data();
   double signal_mw = row[tx];
   if (std::isnan(signal_mw)) signal_mw = row[tx] = DbmToMw(MeanRxPowerDbm(tx, rx));
   signal_mw *= signal_scale;
-  if (config_.enable_fading) signal_mw *= fading_.PowerGain(tx, rx, subchannel, now);
+  FadingGainRow* gains = nullptr;
+  if (config_.enable_fading) {
+    gains = &fading_rows_[rx];
+    gains->Fit(nodes_.size(), subchannel, fading_.Block(now));
+    signal_mw *= gains->Gain(fading_, tx, rx, subchannel);
+  }
   // Blocked accumulation (DESIGN.md §17): contributing term i goes to lane
   // i mod 8, lanes combine with the fixed ReduceLanes8 tree. Skipped
   // entries are compacted out (they never occupy a lane), so the value
@@ -110,7 +146,7 @@ double RadioEnvironment::SinrDb(RadioNodeId tx, RadioNodeId rx, std::uint32_t su
     double p = row[it.node];
     if (std::isnan(p)) p = row[it.node] = DbmToMw(MeanRxPowerDbm(it.node, rx));
     p *= it.power_scale;
-    if (config_.enable_fading) p *= fading_.PowerGain(it.node, rx, subchannel, now);
+    if (gains != nullptr) p *= gains->Gain(fading_, it.node, rx, subchannel);
     lanes[m & 7] += p;
     ++m;
   }

@@ -67,8 +67,9 @@ class RadioEnvironment {
   RadioNodeId AddNode(RadioNode node);
 
   /// Move a node (mobility). Invalidates the cached mean powers involving
-  /// it; O(n) per move, intended for coarse-grained position updates
-  /// (hundreds of ms), not per-subframe motion.
+  /// it (fading gains do not depend on position and stay cached); O(n) per
+  /// move, intended for coarse-grained position updates (hundreds of ms),
+  /// not per-subframe motion.
   void MoveNode(RadioNodeId id, Point new_position);
 
   std::size_t node_count() const { return nodes_.size(); }
@@ -78,11 +79,6 @@ class RadioEnvironment {
   /// A pure function of geometry, recomputed on every call, and exactly
   /// reciprocal: LinkGainDb(a, b) == LinkGainDb(b, a) bit for bit.
   double LinkGainDb(RadioNodeId tx, RadioNodeId rx) const;
-
-  /// Received power from `tx` at `rx` on `subchannel` at time `now`,
-  /// including fading, dBm.
-  double RxPowerDbm(RadioNodeId tx, RadioNodeId rx, std::uint32_t subchannel,
-                    SimTime now) const;
 
   /// Average received power (no fading), dBm.
   double MeanRxPowerDbm(RadioNodeId tx, RadioNodeId rx) const;
@@ -111,6 +107,8 @@ class RadioEnvironment {
   /// transmitter's total power radiated in the measured band (e.g. 1/13 for
   /// one of 13 subchannels under flat PSD, or 1/n_alloc for an uplink
   /// transmission concentrating full power into n_alloc subchannels).
+  /// With fading on, each (tx, subchannel) fading gain is computed once per
+  /// coherence block per receiver and then read from the receiver's cache.
   double SinrDb(RadioNodeId tx, RadioNodeId rx, std::uint32_t subchannel, SimTime now,
                 const std::vector<ActiveTransmitter>& interferers,
                 double bandwidth_hz, double signal_scale = 1.0) const;
@@ -141,6 +139,36 @@ class RadioEnvironment {
     double noise_mw[2] = {0.0, 0.0};
   };
   mutable std::vector<NoiseMemo> noise_mw_cache_;
+  /// One receiver's fading-gain cache: the exact
+  /// fading_.PowerGain(tx, rx, subchannel, now) for every (tx, subchannel)
+  /// the receiver has queried in the coherence block the row is stamped
+  /// with, NaN = not yet queried in it (a gain is never NaN). Each queried
+  /// tx owns one run of `width` consecutive gains, one per subchannel;
+  /// `width` grows to the highest subchannel queried, so any subchannel
+  /// count is cached.
+  class FadingGainRow {
+   public:
+    /// Sizes the index for `node_count` nodes, widens the runs to hold
+    /// `subchannel` and, when `block` differs from the row's stamp, unsets
+    /// every gain and restamps the row. Once per SinrDb call, before Gain.
+    void Fit(std::size_t node_count, std::uint32_t subchannel, std::int64_t block);
+    /// The gain of `tx` at `rx` on `subchannel` in the row's block,
+    /// computed on its first read.
+    double Gain(const FadingProcess& fading, RadioNodeId tx, RadioNodeId rx,
+                std::uint32_t subchannel);
+
+   private:
+    static constexpr std::uint32_t kNoRun = std::numeric_limits<std::uint32_t>::max();
+    static constexpr double kUnsetGain = std::numeric_limits<double>::quiet_NaN();
+    std::vector<std::uint32_t> run_of_tx_;  // tx -> run index, kNoRun = unqueried
+    std::uint32_t width_ = 0;               // gains per run
+    std::int64_t block_ = 0;                // block every set gain belongs to
+    std::vector<double> gains_;             // run r: [r * width_, (r + 1) * width_)
+  };
+  /// One row per receiver, appended by AddNode only when fading is on and
+  /// sized on the receiver's first fading query. Receiver-owned, like
+  /// rx_mw_rows_ (DESIGN.md §15); MoveNode leaves it alone.
+  mutable std::vector<FadingGainRow> fading_rows_;
   std::uint64_t position_epoch_ = 1;
 };
 

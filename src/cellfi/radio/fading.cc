@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cellfi/common/units.h"
-
 namespace cellfi {
 
 namespace {
@@ -54,13 +52,12 @@ double ShadowingField::ShadowDb(std::uint32_t a, std::uint32_t b) const {
 FadingProcess::FadingProcess(std::uint64_t seed, SimTime coherence_time, double rician_k)
     : seed_(seed), coherence_time_(coherence_time), rician_k_(rician_k) {}
 
-double FadingProcess::PowerGain(std::uint32_t a, std::uint32_t b,
-                                std::uint32_t subchannel, SimTime now) const {
+double FadingProcess::PowerGainInBlock(std::uint32_t a, std::uint32_t b,
+                                       std::uint32_t subchannel, std::int64_t block) const {
   const std::uint32_t lo = std::min(a, b);
   const std::uint32_t hi = std::max(a, b);
-  const std::uint64_t block = static_cast<std::uint64_t>(now / coherence_time_);
   const std::uint64_t h = HashWords(seed_, (static_cast<std::uint64_t>(lo) << 32) | hi,
-                                    subchannel, block);
+                                    subchannel, static_cast<std::uint64_t>(block));
   if (rician_k_ <= 0.0) {
     // Exp(1) power gain: Rayleigh amplitude fading.
     return -std::log(HashToUnitInterval(h));
@@ -74,11 +71,6 @@ double FadingProcess::PowerGain(std::uint32_t a, std::uint32_t b,
   const double re = los + sigma * x;
   const double im = sigma * y;
   return re * re + im * im;
-}
-
-double FadingProcess::GainDb(std::uint32_t a, std::uint32_t b, std::uint32_t subchannel,
-                             SimTime now) const {
-  return LinearToDb(std::max(PowerGain(a, b, subchannel, now), 1e-12));
 }
 
 }  // namespace cellfi

@@ -54,11 +54,16 @@ class FadingProcess {
 
   /// Linear power gain (mean 1.0) for (a,b) link, subchannel, time.
   double PowerGain(std::uint32_t a, std::uint32_t b, std::uint32_t subchannel,
-                   SimTime now) const;
+                   SimTime now) const {
+    return PowerGainInBlock(a, b, subchannel, Block(now));
+  }
 
-  /// Same in dB.
-  double GainDb(std::uint32_t a, std::uint32_t b, std::uint32_t subchannel,
-                SimTime now) const;
+  /// Coherence block holding `now`; the gain is constant within a block.
+  std::int64_t Block(SimTime now) const { return now / coherence_time_; }
+
+  /// PowerGain for every `now` in coherence block `block`.
+  double PowerGainInBlock(std::uint32_t a, std::uint32_t b, std::uint32_t subchannel,
+                          std::int64_t block) const;
 
   SimTime coherence_time() const { return coherence_time_; }
   double rician_k() const { return rician_k_; }

@@ -76,7 +76,8 @@ class InterferenceMap {
   /// BeginEpoch, by a change of serving transmitter and by node mobility).
   /// With fading enabled the mean-power aggregate would be wrong — the
   /// per-subchannel fading term cannot be pre-aggregated — so the query
-  /// falls back to per-link summation over the shared list.
+  /// falls back to per-link summation over the shared list, with each
+  /// fading gain read from the receiver's cache in RadioEnvironment.
   ///
   /// Thread safety (DESIGN.md §15): after a serial Seal(), concurrent
   /// SinrDb calls are safe as long as no two threads query the same

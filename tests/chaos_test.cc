@@ -452,7 +452,7 @@ std::vector<scenario::Replication> SupervisorJobs(int reps) {
     scenario::ScenarioConfig cfg;
     cfg.duration = 2 * kSecond;
     cfg.seed = scenario::SweepSeed(0xC4A05, 0, static_cast<std::uint64_t>(rep));
-    jobs.push_back(scenario::Replication{cfg, nullptr, 0, rep});
+    jobs.push_back(scenario::Replication{cfg, nullptr, 0, rep, {}});
   }
   return jobs;
 }

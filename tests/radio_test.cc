@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cellfi/common/simd.h"
 #include "cellfi/common/stats.h"
 #include "cellfi/common/units.h"
 #include "cellfi/radio/antenna.h"
@@ -325,6 +326,98 @@ TEST(EnvironmentLinkGainTest, InterleavedAddQueryMoveMatchesFreshBuild) {
                 fresh.SinrDb(tx, rx, 2, 30 * kMillisecond, interferers, 4.5e6))
           << tx << "->" << rx;
     }
+  }
+}
+
+// SinrDb without any fading-gain cache: every gain straight from
+// FadingProcess::PowerGain, in the same term order, multiply order and
+// 8-lane blocked sum as RadioEnvironment::SinrDb.
+double UncachedSinrDb(const RadioEnvironment& env, RadioNodeId tx, RadioNodeId rx,
+                      std::uint32_t subchannel, SimTime now,
+                      const std::vector<ActiveTransmitter>& interferers,
+                      double bandwidth_hz, double signal_scale) {
+  const FadingProcess& fading = env.fading();
+  double signal_mw = env.MeanRxPowerMw(tx, rx);
+  signal_mw *= signal_scale;
+  signal_mw *= fading.PowerGain(tx, rx, subchannel, now);
+  double lanes[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  std::size_t m = 0;
+  for (const ActiveTransmitter& it : interferers) {
+    if (it.node == tx || it.node == rx || it.power_scale <= 0.0) continue;
+    double p = env.MeanRxPowerMw(it.node, rx);
+    p *= it.power_scale;
+    p *= fading.PowerGain(it.node, rx, subchannel, now);
+    lanes[m & 7] += p;
+    ++m;
+  }
+  const double denom_mw =
+      DbmToMw(env.NoiseDbm(rx, bandwidth_hz)) + simd::ReduceLanes8(lanes);
+  return LinearToDb(signal_mw / denom_mw);
+}
+
+// SinrDb reads every fading gain from the receiver's cache. Each query of
+// a stream that moves `now` forward, backward and across block edges,
+// walks subchannels 0-24 in changing orders, and adds and moves nodes
+// between queries must give exactly the double the uncached oracle gives,
+// for Rayleigh and Rician fading.
+TEST(EnvironmentFadingCacheTest, SinrMatchesUncachedOracle) {
+  const FreeSpacePathLoss pathloss;
+  for (const double rician_k : {0.0, 6.0}) {
+    SCOPED_TRACE(rician_k);
+    RadioEnvironmentConfig cfg = FullChannelConfig();
+    cfg.rician_k = rician_k;
+    RadioEnvironment env(pathloss, cfg);
+    std::vector<ActiveTransmitter> interferers;
+    const auto add = [&](Point at) {
+      const RadioNodeId id = env.AddNode(
+          {.position = at, .tx_power_dbm = 20.0 + static_cast<double>(env.node_count())});
+      // Ten interferers fill more than one round of the 8 lanes; every
+      // third one radiates at a different fraction of its power.
+      interferers.push_back({.node = id, .power_scale = id % 3 == 0 ? 0.25 : 1.0 / 13.0});
+    };
+    for (int i = 0; i < 9; ++i) add({211.0 * i, -97.0 * (i % 4)});
+    interferers.push_back({.node = 2, .power_scale = 0.0});  // silent: skipped
+
+    const auto check = [&](SimTime now, std::uint32_t subchannel) {
+      if (::testing::Test::HasFailure()) return;  // report the first mismatch only
+      for (RadioNodeId rx = 0; rx < env.node_count(); ++rx) {
+        for (RadioNodeId tx = 0; tx < env.node_count(); ++tx) {
+          if (tx == rx) continue;
+          const double scale = tx % 2 == 0 ? 1.0 / 13.0 : 0.5;
+          const double cached =
+              env.SinrDb(tx, rx, subchannel, now, interferers, 360e3, scale);
+          ASSERT_EQ(cached, UncachedSinrDb(env, tx, rx, subchannel, now, interferers,
+                                           360e3, scale))
+              << tx << "->" << rx << " sub " << subchannel << " at " << now;
+        }
+      }
+    };
+    const auto sweep = [&](SimTime now) {
+      // Start mid-band and high so runs are created narrow and widened with
+      // entries in them, then walk 0-24 up and down.
+      check(now, 3);
+      check(now, 24);
+      for (std::uint32_t s = 0; s < 25; ++s) check(now, s);
+      for (std::uint32_t s = 25; s-- > 0;) check(now, s);
+    };
+
+    for (const SimTime now : {SimTime{0}, 49 * kMillisecond, 50 * kMillisecond,
+                              51 * kMillisecond, 49 * kMillisecond, SimTime{0},
+                              99 * kMillisecond, 100 * kMillisecond, 1 * kSecond,
+                              51 * kMillisecond}) {
+      sweep(now);
+    }
+    add({-350.0, 420.0});  // a node no cache row has seen
+    sweep(50 * kMillisecond);
+    sweep(49 * kMillisecond);
+    env.MoveNode(4, {1200.0, 800.0});  // mean powers change, gains do not
+    env.MoveNode(9, {-20.0, -30.0});
+    sweep(49 * kMillisecond);
+    sweep(51 * kMillisecond);
+    add({640.0, 640.0});
+    env.MoveNode(0, {5.0, 5.0});
+    sweep(150 * kMillisecond);
+    sweep(100 * kMillisecond);
   }
 }
 
