@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
 
 #include "cellfi/chaos/invariants.h"
 #include "cellfi/common/units.h"
@@ -18,7 +19,13 @@ constexpr double kPrachBandwidthHz = 839 * 1250.0;
 }  // namespace
 
 LteNetwork::LteNetwork(Simulator& sim, RadioEnvironment& env, LteNetworkConfig config)
-    : sim_(sim), env_(env), config_(config), rng_(config.seed), imap_(env) {}
+    : sim_(sim), env_(env), config_(config), rng_(config.seed), imap_(env) {
+  if (!config_.use_interference_engine) {
+    throw std::invalid_argument(
+        "LteNetworkConfig::use_interference_engine = false is no longer supported: "
+        "the interference engine is the only subframe path");
+  }
+}
 
 CellId LteNetwork::AddCell(const LteMacConfig& mac, RadioNodeId radio) {
   assert(!started_);
@@ -255,37 +262,7 @@ void LteNetwork::SolicitPrach() {
   }
 }
 
-void LteNetwork::CollectDownlinkInterferers(CellId except, int subchannel,
-                                            std::vector<ActiveTransmitter>& out) const {
-  out.clear();
-  const double psd_share = 1.0 / static_cast<double>(num_subchannels_);
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    if (static_cast<CellId>(c) == except || !cells_[c].active) continue;
-    const CellRec& rec = cells_[c];
-    if (rec.plan_is_data &&
-        rec.current_plan.data_active[static_cast<std::size_t>(subchannel)]) {
-      out.push_back(ActiveTransmitter{.node = rec.radio, .power_scale = psd_share});
-    }
-    // Cells idle on this subchannel still radiate CRS, handled as a coding
-    // penalty by IdleCrsPenaltyDb (puncturing, not wideband noise).
-  }
-}
-
-double LteNetwork::ComputeIdleCrsPenaltyDb(CellId serving, RadioNodeId rx) const {
-  const CellRec& srv = cells_[static_cast<std::size_t>(serving)];
-  const double signal_mw = env_.MeanRxPowerMw(srv.radio, rx);
-  if (signal_mw <= 0.0) return 0.0;
-  double penalty = 0.0;
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    if (static_cast<CellId>(c) == serving || !cells_[c].active) continue;
-    const double ratio = env_.MeanRxPowerMw(cells_[c].radio, rx) / signal_mw;
-    penalty += std::min(1.0, ratio);  // ~1 dB per comparable-power idle cell
-  }
-  return std::min(penalty, 2.0);
-}
-
 double LteNetwork::IdleCrsPenaltyDb(CellId serving, RadioNodeId rx) const {
-  if (!config_.use_interference_engine) return ComputeIdleCrsPenaltyDb(serving, rx);
   // Depends only on the active cell set and the mean link powers — not on
   // plans — so one entry per receiver radio survives whole stretches of
   // subframes until a SetCellActive or MoveNode bumps an epoch.
@@ -296,16 +273,28 @@ double LteNetwork::IdleCrsPenaltyDb(CellId serving, RadioNodeId rx) const {
     e.serving = serving;
     e.activity_epoch = activity_epoch_;
     e.position_epoch = env_.position_epoch();
-    e.penalty_db = ComputeIdleCrsPenaltyDb(serving, rx);
+    const double signal_mw =
+        env_.MeanRxPowerMw(cells_[static_cast<std::size_t>(serving)].radio, rx);
+    double penalty = 0.0;
+    if (signal_mw > 0.0) {
+      for (std::size_t c = 0; c < cells_.size(); ++c) {
+        if (static_cast<CellId>(c) == serving || !cells_[c].active) continue;
+        const double ratio = env_.MeanRxPowerMw(cells_[c].radio, rx) / signal_mw;
+        penalty += std::min(1.0, ratio);  // ~1 dB per comparable-power idle cell
+      }
+    }
+    e.penalty_db = std::min(penalty, 2.0);
   }
   return e.penalty_db;
 }
 
 void LteNetwork::BuildDownlinkMap() const {
-  // Same iteration order as CollectDownlinkInterferers (cell index order)
-  // so the engine's aggregates add terms in the legacy sequence. The
-  // serving cell is included here and excluded per query by node identity,
-  // which matches the legacy index-based `except` skip exactly.
+  // Cell-index order, so the engine's aggregates add terms in the same
+  // sequence as a per-link RadioEnvironment::SinrDb over the interferers
+  // listed in that order (the oracle the tests rebuild). The serving cell
+  // is included here and excluded per query by node identity. Cells idle on
+  // a subchannel still radiate CRS, handled as a coding penalty by
+  // IdleCrsPenaltyDb (puncturing, not wideband noise).
   imap_.BeginEpoch(num_subchannels_, subchannel_bandwidth_hz_);
   const double psd_share = 1.0 / static_cast<double>(num_subchannels_);
   for (const CellRec& rec : cells_) {
@@ -344,8 +333,7 @@ void LteNetwork::EnsureShardState() {
   // Per-receiver caches grow lazily on the serial paths; presize them here
   // so no worker thread ever sees a resize.
   if (crs_cache_.size() < env_.node_count()) crs_cache_.resize(env_.node_count());
-  if (config_.use_interference_engine &&
-      env_.config().interference_floor_db > 0.0) {
+  if (env_.config().interference_floor_db > 0.0) {
     neighbor_graph_.Build(env_, env_.config().interference_floor_db,
                           subchannel_bandwidth_hz_);
     imap_.SetNeighborGraph(&neighbor_graph_);
@@ -422,22 +410,10 @@ void LteNetwork::MeasureDownlinkSinrInto(
   if (!serving.active) return;
   const double signal_scale = 1.0 / static_cast<double>(num_subchannels_);
   const double crs_penalty = IdleCrsPenaltyDb(info.serving, info.radio);
-  if (config_.use_interference_engine) {
-    EnsureDownlinkMap();
-    for (int s = 0; s < num_subchannels_; ++s) {
-      out[static_cast<std::size_t>(s)] =
-          imap_.SinrDb(serving.radio, info.radio, s, sim_.Now(), signal_scale,
-                       scratch) -
-          crs_penalty;
-    }
-    return;
-  }
-  std::vector<ActiveTransmitter> interferers;
+  EnsureDownlinkMap();
   for (int s = 0; s < num_subchannels_; ++s) {
-    CollectDownlinkInterferers(info.serving, s, interferers);
     out[static_cast<std::size_t>(s)] =
-        env_.SinrDb(serving.radio, info.radio, static_cast<std::uint32_t>(s), sim_.Now(),
-                    interferers, subchannel_bandwidth_hz_, signal_scale) -
+        imap_.SinrDb(serving.radio, info.radio, s, sim_.Now(), signal_scale, scratch) -
         crs_penalty;
   }
 }
@@ -538,7 +514,7 @@ void LteNetwork::RunDownlinkSubframe() {
 
   // Phase 1a (serial): reset every cell and run the access gate. LBT draws
   // from the shared Rng, so the gate stays serial in cell-index order —
-  // the exact legacy draw sequence for any shard count.
+  // the same draw sequence for any shard count.
   for (CellRec& rec : cells_) {
     rec.current_plan = TxPlan{};
     rec.current_plan.data_active.assign(static_cast<std::size_t>(num_subchannels_), false);
@@ -613,128 +589,78 @@ void LteNetwork::RunDownlinkSubframe() {
     }
   }
 
-  // Phase 2: resolve each transport block. With the engine on, every
-  // receiver shares the per-subchannel transmitter lists built once at the
-  // (serial) barrier below; the SINR of a committed plan is a pure function
+  // Phase 2: resolve each transport block. Every receiver shares the
+  // per-subchannel transmitter lists built once at the (serial) barrier
+  // below; the SINR of a committed plan is a pure function
   // of those lists, so shards evaluate their own cells' transmissions
   // concurrently and stage the values. Everything that mutates shared
   // state — HARQ completion (which draws from the shared Rng), ACK
   // coupling, callbacks, metrics — commits serially afterwards in global
   // cell-index order: the staged values are merged in a fixed order, never
   // in shard completion order, which is what makes results bit-identical
-  // for any shard count (including 1, and including the pre-shard fused
-  // loop this replaces).
+  // for any shard count (including 1).
   const double signal_scale = 1.0 / static_cast<double>(num_subchannels_);
-  if (config_.use_interference_engine) {
-    BuildDownlinkMap();  // appends in cell-index order, then seals
+  BuildDownlinkMap();  // appends in cell-index order, then seals
 
-    // Parallel stage: receiver ownership keeps it race-free. Every mutable
-    // cache row (engine receiver rows, rx-power rows, noise memo, CRS
-    // penalty cache) is indexed by receiver, and each UE is only queried
-    // by the shard owning its serving cell.
-    ForEachShard([this, signal_scale](int s) {
-      std::vector<ActiveTransmitter>* scratch =
-          &shard_scratch_[static_cast<std::size_t>(s)];
-      for (int c : shard_grid_->cells(s)) {
-        CellRec& rec = cells_[static_cast<std::size_t>(c)];
-        std::vector<double>& staged = staged_tb_sinr_[static_cast<std::size_t>(c)];
-        staged.clear();
-        if (!rec.plan_is_data) continue;
-        staged.reserve(rec.current_plan.transmissions.size());
-        for (const Transmission& tx : rec.current_plan.transmissions) {
-          const UeInfo& info = ues_[static_cast<std::size_t>(tx.ue)];
-          const double crs_penalty =
-              IdleCrsPenaltyDb(static_cast<CellId>(c), info.radio);
-          double sinr_linear_sum = 0.0;
-          for (int sub : tx.subchannels) {
-            sinr_linear_sum += DbToLinear(imap_.SinrDb(
-                rec.radio, info.radio, sub, sim_.Now(), signal_scale, scratch));
-          }
-          staged.push_back(
-              LinearToDb(sinr_linear_sum /
-                         static_cast<double>(tx.subchannels.size())) -
-              crs_penalty);
-        }
-      }
-    });
-
-    // Serial commit, global cell-index order.
-    for (std::size_t c = 0; c < cells_.size(); ++c) {
-      CellRec& rec = cells_[c];
+  // Parallel stage: receiver ownership keeps it race-free. Every mutable
+  // cache row (engine receiver rows, rx-power rows, noise memo, CRS
+  // penalty cache) is indexed by receiver, and each UE is only queried
+  // by the shard owning its serving cell.
+  ForEachShard([this, signal_scale](int s) {
+    std::vector<ActiveTransmitter>* scratch = &shard_scratch_[static_cast<std::size_t>(s)];
+    for (int c : shard_grid_->cells(s)) {
+      CellRec& rec = cells_[static_cast<std::size_t>(c)];
+      std::vector<double>& staged = staged_tb_sinr_[static_cast<std::size_t>(c)];
+      staged.clear();
       if (!rec.plan_is_data) continue;
-      std::vector<double> served_bits(rec.mac->ues().size(), 0.0);
-      for (std::size_t i = 0; i < rec.current_plan.transmissions.size(); ++i) {
-        const Transmission& tx = rec.current_plan.transmissions[i];
-        const UeInfo& info = ues_[static_cast<std::size_t>(tx.ue)];
-        const double tb_sinr_db = staged_tb_sinr_[c][i];
-        const DeliveryResult result = rec.mac->CompleteDownlink(tx, tb_sinr_db, rng_);
-        if (result.delivered) {
-          if (tx.ue_index >= 0 && tx.ue_index < static_cast<int>(served_bits.size())) {
-            served_bits[static_cast<std::size_t>(tx.ue_index)] +=
-                8.0 * static_cast<double>(result.payload_bytes);
-          }
-          // TCP ACK clocking: delivered downlink generates uplink demand.
-          UeContext* ctx = rec.mac->FindUe(tx.ue);
-          if (ctx != nullptr) {
-            ctx->EnqueueUplink(static_cast<std::uint64_t>(
-                static_cast<double>(result.payload_bytes) * info.ul_ack_ratio));
-          }
-          if (on_dl_delivered) on_dl_delivered(tx.ue, result.payload_bytes, sim_.Now());
-          if (obs::MetricsRegistry* mr = obs::ActiveMetrics()) {
-            mr->Add(mr->Counter("lte.dl_delivered_bytes"), result.payload_bytes);
-          }
-        } else if (obs::MetricsRegistry* mr = obs::ActiveMetrics()) {
-          mr->Add(mr->Counter("lte.dl_harq_failures"));
-        }
-      }
-      rec.mac->UpdatePfAverages(served_bits);
-    }
-    EmitShardMetrics();
-  } else {
-    // Legacy per-link path: single-threaded fused loop, kept verbatim for
-    // the regression tests and the bench_scale comparison.
-    std::vector<ActiveTransmitter> interferers;
-    for (std::size_t c = 0; c < cells_.size(); ++c) {
-      CellRec& rec = cells_[c];
-      if (!rec.plan_is_data) continue;
-      std::vector<double> served_bits(rec.mac->ues().size(), 0.0);
+      staged.reserve(rec.current_plan.transmissions.size());
       for (const Transmission& tx : rec.current_plan.transmissions) {
         const UeInfo& info = ues_[static_cast<std::size_t>(tx.ue)];
         const double crs_penalty = IdleCrsPenaltyDb(static_cast<CellId>(c), info.radio);
         double sinr_linear_sum = 0.0;
-        for (int s : tx.subchannels) {
-          CollectDownlinkInterferers(static_cast<CellId>(c), s, interferers);
-          const double sinr_db =
-              env_.SinrDb(rec.radio, info.radio, static_cast<std::uint32_t>(s), sim_.Now(),
-                          interferers, subchannel_bandwidth_hz_, signal_scale);
-          sinr_linear_sum += DbToLinear(sinr_db);
+        for (int sub : tx.subchannels) {
+          sinr_linear_sum += DbToLinear(
+              imap_.SinrDb(rec.radio, info.radio, sub, sim_.Now(), signal_scale, scratch));
         }
-        const double tb_sinr_db =
+        staged.push_back(
             LinearToDb(sinr_linear_sum / static_cast<double>(tx.subchannels.size())) -
-            crs_penalty;
-        const DeliveryResult result = rec.mac->CompleteDownlink(tx, tb_sinr_db, rng_);
-        if (result.delivered) {
-          if (tx.ue_index >= 0 && tx.ue_index < static_cast<int>(served_bits.size())) {
-            served_bits[static_cast<std::size_t>(tx.ue_index)] +=
-                8.0 * static_cast<double>(result.payload_bytes);
-          }
-          // TCP ACK clocking: delivered downlink generates uplink demand.
-          UeContext* ctx = rec.mac->FindUe(tx.ue);
-          if (ctx != nullptr) {
-            ctx->EnqueueUplink(static_cast<std::uint64_t>(
-                static_cast<double>(result.payload_bytes) * info.ul_ack_ratio));
-          }
-          if (on_dl_delivered) on_dl_delivered(tx.ue, result.payload_bytes, sim_.Now());
-          if (obs::MetricsRegistry* mr = obs::ActiveMetrics()) {
-            mr->Add(mr->Counter("lte.dl_delivered_bytes"), result.payload_bytes);
-          }
-        } else if (obs::MetricsRegistry* mr = obs::ActiveMetrics()) {
-          mr->Add(mr->Counter("lte.dl_harq_failures"));
-        }
+            crs_penalty);
       }
-      rec.mac->UpdatePfAverages(served_bits);
     }
+  });
+
+  // Serial commit, global cell-index order.
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    CellRec& rec = cells_[c];
+    if (!rec.plan_is_data) continue;
+    std::vector<double> served_bits(rec.mac->ues().size(), 0.0);
+    for (std::size_t i = 0; i < rec.current_plan.transmissions.size(); ++i) {
+      const Transmission& tx = rec.current_plan.transmissions[i];
+      const UeInfo& info = ues_[static_cast<std::size_t>(tx.ue)];
+      const double tb_sinr_db = staged_tb_sinr_[c][i];
+      const DeliveryResult result = rec.mac->CompleteDownlink(tx, tb_sinr_db, rng_);
+      if (result.delivered) {
+        if (tx.ue_index >= 0 && tx.ue_index < static_cast<int>(served_bits.size())) {
+          served_bits[static_cast<std::size_t>(tx.ue_index)] +=
+              8.0 * static_cast<double>(result.payload_bytes);
+        }
+        // TCP ACK clocking: delivered downlink generates uplink demand.
+        UeContext* ctx = rec.mac->FindUe(tx.ue);
+        if (ctx != nullptr) {
+          ctx->EnqueueUplink(static_cast<std::uint64_t>(
+              static_cast<double>(result.payload_bytes) * info.ul_ack_ratio));
+        }
+        if (on_dl_delivered) on_dl_delivered(tx.ue, result.payload_bytes, sim_.Now());
+        if (obs::MetricsRegistry* mr = obs::ActiveMetrics()) {
+          mr->Add(mr->Counter("lte.dl_delivered_bytes"), result.payload_bytes);
+        }
+      } else if (obs::MetricsRegistry* mr = obs::ActiveMetrics()) {
+        mr->Add(mr->Counter("lte.dl_harq_failures"));
+      }
+    }
+    rec.mac->UpdatePfAverages(served_bits);
   }
+  EmitShardMetrics();
 
   // Update LBT carrier-sense state for the next subframe.
   for (CellRec& rec : cells_) {
@@ -752,172 +678,105 @@ void LteNetwork::RunDownlinkSubframe() {
 }
 
 void LteNetwork::RunUplinkSubframe() {
-  const bool engine = config_.use_interference_engine;
-  if (engine) {
-    EnsureShardState();
-    RefreshNeighborGraph();
+  EnsureShardState();
+  RefreshNeighborGraph();
 
-    // Phase 1a (serial): reset. Phase 1b (parallel): plans — PlanUplink is
-    // RNG-free and per-cell, so shards are independent.
-    for (CellRec& rec : cells_) {
-      rec.current_plan = TxPlan{};
-      rec.current_plan.data_active.assign(static_cast<std::size_t>(num_subchannels_),
-                                          false);
-      rec.plan_is_data = false;
-    }
-    ForEachShard([this](int s) {
-      for (int c : shard_grid_->cells(s)) {
-        CellRec& rec = cells_[static_cast<std::size_t>(c)];
-        if (!rec.active || !rec.mac->has_ues()) continue;
-        rec.current_plan = rec.mac->PlanUplink();
-      }
-    });
-
-    // Phase 1c (serial): the barrier exchange. Merge every shard's
-    // transmitter appends into the engine in global cell-index order —
-    // cells -> transmissions -> subchannels, the exact legacy insertion
-    // sequence, never shard completion order — then seal before the first
-    // concurrent query. The transmitting UE is excluded per query by radio
-    // node, equivalent to the legacy `act.ue == tx.ue` skip (one radio per
-    // UE).
-    imap_.BeginEpoch(num_subchannels_, subchannel_bandwidth_hz_);
-    for (const CellRec& rec : cells_) {
-      for (const Transmission& tx : rec.current_plan.transmissions) {
-        const UeInfo& info = ues_[static_cast<std::size_t>(tx.ue)];
-        const double ul_scale = 1.0 / static_cast<double>(tx.subchannels.size());
-        for (int s : tx.subchannels) imap_.AddTransmitter(s, info.radio, ul_scale);
-      }
-    }
-    imap_.Seal();
-
-    // Phase 2 (parallel): stage each transmission's tb SINR. The receiver
-    // of uplink is the cell's own radio, owned by its shard.
-    ForEachShard([this](int s) {
-      std::vector<ActiveTransmitter>* scratch =
-          &shard_scratch_[static_cast<std::size_t>(s)];
-      for (int c : shard_grid_->cells(s)) {
-        CellRec& rec = cells_[static_cast<std::size_t>(c)];
-        std::vector<double>& staged = staged_tb_sinr_[static_cast<std::size_t>(c)];
-        staged.clear();
-        if (!rec.active) continue;
-        staged.reserve(rec.current_plan.transmissions.size());
-        for (const Transmission& tx : rec.current_plan.transmissions) {
-          const UeInfo& info = ues_[static_cast<std::size_t>(tx.ue)];
-          const double signal_scale = 1.0 / static_cast<double>(tx.subchannels.size());
-          double sinr_linear_sum = 0.0;
-          for (int sub : tx.subchannels) {
-            sinr_linear_sum += DbToLinear(imap_.SinrDb(
-                info.radio, rec.radio, sub, sim_.Now(), signal_scale, scratch));
-          }
-          staged.push_back(LinearToDb(
-              sinr_linear_sum / static_cast<double>(tx.subchannels.size())));
-        }
-      }
-    });
-
-    // Phase 2c (serial): commit in global cell-index order (HARQ draws
-    // from the shared Rng).
-    for (std::size_t c = 0; c < cells_.size(); ++c) {
-      CellRec& rec = cells_[c];
-      if (!rec.active) continue;
-      for (std::size_t i = 0; i < rec.current_plan.transmissions.size(); ++i) {
-        rec.mac->CompleteUplink(rec.current_plan.transmissions[i],
-                                staged_tb_sinr_[c][i], rng_);
-      }
-    }
-    EmitShardMetrics();
-
-    // The engine now holds uplink lists and the cells' plans were
-    // overwritten with UL grants: any later MeasureDownlinkSinr must
-    // rebuild.
-    dl_map_valid_ = false;
-    return;
-  }
-
-  // Legacy per-link path (single-threaded, kept verbatim).
-  // Phase 1: plans + per-cell allocation width per UE (for power scaling).
-  struct UlActivity {
-    UeId ue;
-    RadioNodeId radio;
-    int alloc_count;
-  };
-  std::vector<std::vector<UlActivity>> active_per_subchannel(
-      static_cast<std::size_t>(num_subchannels_));
-
+  // Phase 1a (serial): reset. Phase 1b (parallel): plans — PlanUplink is
+  // RNG-free and per-cell, so shards are independent.
   for (CellRec& rec : cells_) {
     rec.current_plan = TxPlan{};
     rec.current_plan.data_active.assign(static_cast<std::size_t>(num_subchannels_), false);
     rec.plan_is_data = false;
-    if (!rec.active || !rec.mac->has_ues()) continue;
-    rec.current_plan = rec.mac->PlanUplink();
+  }
+  ForEachShard([this](int s) {
+    for (int c : shard_grid_->cells(s)) {
+      CellRec& rec = cells_[static_cast<std::size_t>(c)];
+      if (!rec.active || !rec.mac->has_ues()) continue;
+      rec.current_plan = rec.mac->PlanUplink();
+    }
+  });
+
+  // Phase 1c (serial): the barrier exchange. Merge every shard's
+  // transmitter appends into the engine in global cell-index order —
+  // cells -> transmissions -> subchannels, never shard completion order —
+  // then seal before the first concurrent query. The transmitting UE is
+  // excluded per query by radio node (one radio per UE).
+  imap_.BeginEpoch(num_subchannels_, subchannel_bandwidth_hz_);
+  for (const CellRec& rec : cells_) {
     for (const Transmission& tx : rec.current_plan.transmissions) {
       const UeInfo& info = ues_[static_cast<std::size_t>(tx.ue)];
-      for (int s : tx.subchannels) {
-        active_per_subchannel[static_cast<std::size_t>(s)].push_back(
-            UlActivity{tx.ue, info.radio, static_cast<int>(tx.subchannels.size())});
-      }
+      const double ul_scale = 1.0 / static_cast<double>(tx.subchannels.size());
+      for (int s : tx.subchannels) imap_.AddTransmitter(s, info.radio, ul_scale);
     }
   }
+  imap_.Seal();
 
-  // Phase 2: resolve. Signal: UE concentrates its full power in its grant.
-  std::vector<ActiveTransmitter> interferers;
-  for (CellRec& rec : cells_) {
-    if (!rec.active) continue;
-    for (const Transmission& tx : rec.current_plan.transmissions) {
-      const UeInfo& info = ues_[static_cast<std::size_t>(tx.ue)];
-      const double signal_scale = 1.0 / static_cast<double>(tx.subchannels.size());
-      double sinr_linear_sum = 0.0;
-      for (int s : tx.subchannels) {
-        interferers.clear();
-        for (const UlActivity& act : active_per_subchannel[static_cast<std::size_t>(s)]) {
-          if (act.ue == tx.ue) continue;
-          interferers.push_back(ActiveTransmitter{
-              .node = act.radio,
-              .power_scale = 1.0 / static_cast<double>(act.alloc_count)});
+  // Phase 2 (parallel): stage each transmission's tb SINR. The receiver
+  // of uplink is the cell's own radio, owned by its shard.
+  ForEachShard([this](int s) {
+    std::vector<ActiveTransmitter>* scratch = &shard_scratch_[static_cast<std::size_t>(s)];
+    for (int c : shard_grid_->cells(s)) {
+      CellRec& rec = cells_[static_cast<std::size_t>(c)];
+      std::vector<double>& staged = staged_tb_sinr_[static_cast<std::size_t>(c)];
+      staged.clear();
+      if (!rec.active) continue;
+      staged.reserve(rec.current_plan.transmissions.size());
+      for (const Transmission& tx : rec.current_plan.transmissions) {
+        const UeInfo& info = ues_[static_cast<std::size_t>(tx.ue)];
+        const double signal_scale = 1.0 / static_cast<double>(tx.subchannels.size());
+        double sinr_linear_sum = 0.0;
+        for (int sub : tx.subchannels) {
+          sinr_linear_sum += DbToLinear(
+              imap_.SinrDb(info.radio, rec.radio, sub, sim_.Now(), signal_scale, scratch));
         }
-        const double sinr_db =
-            env_.SinrDb(info.radio, rec.radio, static_cast<std::uint32_t>(s), sim_.Now(),
-                        interferers, subchannel_bandwidth_hz_, signal_scale);
-        sinr_linear_sum += DbToLinear(sinr_db);
+        staged.push_back(
+            LinearToDb(sinr_linear_sum / static_cast<double>(tx.subchannels.size())));
       }
-      const double tb_sinr_db =
-          LinearToDb(sinr_linear_sum / static_cast<double>(tx.subchannels.size()));
-      rec.mac->CompleteUplink(tx, tb_sinr_db, rng_);
+    }
+  });
+
+  // Phase 2c (serial): commit in global cell-index order (HARQ draws
+  // from the shared Rng).
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    CellRec& rec = cells_[c];
+    if (!rec.active) continue;
+    for (std::size_t i = 0; i < rec.current_plan.transmissions.size(); ++i) {
+      rec.mac->CompleteUplink(rec.current_plan.transmissions[i], staged_tb_sinr_[c][i], rng_);
     }
   }
+  EmitShardMetrics();
 
+  // The engine now holds uplink lists and the cells' plans were
+  // overwritten with UL grants: any later MeasureDownlinkSinr must
+  // rebuild.
   dl_map_valid_ = false;
 }
 
 void LteNetwork::GenerateCqiReports() {
-  const bool staged = config_.use_interference_engine;
-  if (staged) {
-    // Parallel stage: the expensive per-subchannel measurement, computed by
-    // the shard owning each UE's serving cell (receiver ownership again —
-    // only that shard touches the UE's cache rows). The serial apply below
-    // then walks UEs in id order, so CQI updates, callbacks and RLF
-    // detach scheduling happen in the exact legacy sequence.
-    EnsureShardState();
-    EnsureDownlinkMap();  // serial build + seal before concurrent queries
-    if (cqi_pending_.size() != ues_.size()) cqi_pending_.assign(ues_.size(), 0);
-    if (staged_cqi_sinr_.size() != ues_.size()) staged_cqi_sinr_.resize(ues_.size());
-    for (const UeInfo& info : ues_) {
-      cqi_pending_[static_cast<std::size_t>(info.id)] =
-          info.state == UeState::kConnected &&
-          cell(info.serving).FindUe(info.id) != nullptr;
-    }
-    ForEachShard([this](int s) {
-      std::vector<ActiveTransmitter>* scratch =
-          &shard_scratch_[static_cast<std::size_t>(s)];
-      for (const UeInfo& info : ues_) {
-        if (!cqi_pending_[static_cast<std::size_t>(info.id)]) continue;
-        if (shard_grid_->shard_of(info.serving) != s) continue;
-        MeasureDownlinkSinrInto(
-            info.id, staged_cqi_sinr_[static_cast<std::size_t>(info.id)], scratch);
-      }
-    });
-    EmitShardMetrics();
+  // Parallel stage: the expensive per-subchannel measurement, computed by
+  // the shard owning each UE's serving cell (receiver ownership again —
+  // only that shard touches the UE's cache rows). The serial apply below
+  // then walks UEs in id order, so CQI updates, callbacks and RLF
+  // detach scheduling happen in the same sequence for any shard count.
+  EnsureShardState();
+  EnsureDownlinkMap();  // serial build + seal before concurrent queries
+  if (cqi_pending_.size() != ues_.size()) cqi_pending_.assign(ues_.size(), 0);
+  if (staged_cqi_sinr_.size() != ues_.size()) staged_cqi_sinr_.resize(ues_.size());
+  for (const UeInfo& info : ues_) {
+    cqi_pending_[static_cast<std::size_t>(info.id)] =
+        info.state == UeState::kConnected &&
+        cell(info.serving).FindUe(info.id) != nullptr;
   }
+  ForEachShard([this](int s) {
+    std::vector<ActiveTransmitter>* scratch = &shard_scratch_[static_cast<std::size_t>(s)];
+    for (const UeInfo& info : ues_) {
+      if (!cqi_pending_[static_cast<std::size_t>(info.id)]) continue;
+      if (shard_grid_->shard_of(info.serving) != s) continue;
+      MeasureDownlinkSinrInto(
+          info.id, staged_cqi_sinr_[static_cast<std::size_t>(info.id)], scratch);
+    }
+  });
+  EmitShardMetrics();
 
   for (UeInfo& info : ues_) {
     if (info.state != UeState::kConnected) continue;
@@ -925,10 +784,7 @@ void LteNetwork::GenerateCqiReports() {
     if (ctx == nullptr) continue;
 
     const double margin = cell(info.serving).config().link_adaptation_margin_db;
-    std::vector<double> sinr_local;
-    if (!staged) sinr_local = MeasureDownlinkSinr(info.id);
-    const std::vector<double>& sinr =
-        staged ? staged_cqi_sinr_[static_cast<std::size_t>(info.id)] : sinr_local;
+    const std::vector<double>& sinr = staged_cqi_sinr_[static_cast<std::size_t>(info.id)];
     CqiMeasurement m;
     m.subband_cqi.reserve(sinr.size());
     double wideband_linear = 0.0;

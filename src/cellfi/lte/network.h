@@ -92,13 +92,11 @@ struct LteNetworkConfig {
   bool enable_handover = true;
   double handover_hysteresis_db = 3.0;
   SimTime handover_check_period = 200 * kMillisecond;
-  /// Resolve subframes through the per-epoch interference engine
-  /// (InterferenceMap, DESIGN.md §12): per-subchannel transmitter lists
-  /// are built once per subframe and shared by every receiver, aggregate
-  /// denominators and the idle-CRS penalty are cached. Bit-identical to
-  /// the legacy per-link path (which `false` restores — kept for the
-  /// regression test and the bench_scale comparison) as long as
-  /// RadioEnvironmentConfig::interference_floor_db is off.
+  /// Must stay true: subframes are always resolved through the per-epoch
+  /// interference engine (InterferenceMap, DESIGN.md §12), and the
+  /// LteNetwork constructor throws std::invalid_argument on false. The
+  /// field exists only so perfbench/driver.cc, which still assigns it,
+  /// compiles; the next change to perfbench deletes it.
   bool use_interference_engine = true;
   /// Intra-replication spatial sharding (DESIGN.md §15). Partition the
   /// cell grid into this many spatially contiguous shards and compute each
@@ -108,8 +106,7 @@ struct LteNetworkConfig {
   /// runs serially at the subframe barrier in global cell-index order.
   /// Results are bit-identical for ANY value, including 1 — the shard
   /// count only decides which thread computes a value, never the order
-  /// values are merged in. Requires use_interference_engine; the legacy
-  /// per-link path stays single-threaded.
+  /// values are merged in.
   int shards = 1;
   /// Worker threads for the shard pool. 0 derives a default:
   /// CELLFI_SHARD_THREADS env if set, else hardware concurrency divided by
@@ -188,7 +185,7 @@ class LteNetwork {
 
   /// Interference terms dropped by the negligible-interferer cull
   /// (RadioEnvironmentConfig::interference_floor_db) — 0 unless the cull
-  /// is enabled and the engine is on.
+  /// is enabled.
   std::uint64_t interference_culled_total() const { return imap_.culled_total(); }
   /// Drops discovered while resolving the most recent subframe.
   std::uint64_t interference_culled_last_subframe() const {
@@ -203,6 +200,13 @@ class LteNetwork {
   /// (every pair would be a neighbor) or no subframe has run yet.
   const NeighborGraph* neighbor_graph() const {
     return neighbor_graph_.built() ? &neighbor_graph_ : nullptr;
+  }
+  /// The downlink plan a cell committed in the most recent subframe, or
+  /// nullptr when that subframe carried no downlink data from it (uplink
+  /// or special subframe, no load, LBT deferral). Test introspection.
+  const TxPlan* committed_dl_plan(CellId id) const {
+    const CellRec& rec = cells_[static_cast<std::size_t>(id)];
+    return rec.plan_is_data ? &rec.current_plan : nullptr;
   }
 
  private:
@@ -259,26 +263,16 @@ class LteNetwork {
   void EmitPrach(UeId ue, CellId serving);
   CellId PickServingCell(UeId ue) const;
 
-  /// Interference contribution of every cell except `except` on
-  /// `subchannel` in the current DL subframe. Only cells actively sending
-  /// data on the subchannel contribute power; idle cells' always-on CRS is
-  /// modelled as a small coding penalty instead (see IdleCrsPenaltyDb).
-  void CollectDownlinkInterferers(CellId except, int subchannel,
-                                  std::vector<ActiveTransmitter>& out) const;
-
   /// Effective SINR penalty (dB) from idle neighbouring cells whose
   /// reference symbols puncture ~6 % of the victim's data REs. Measured in
   /// the paper's Fig. 7(b) as at most ~20 % goodput loss, i.e. a coding
   /// penalty of roughly 1 dB per strong idle interferer, capped at 2 dB.
-  /// With the engine on the value is served from a per-receiver cache
-  /// invalidated on serving-cell, cell-activity and mobility changes (it
-  /// depends only on the active set and mean powers, never on plans).
+  /// The value is served from a per-receiver cache invalidated on
+  /// serving-cell, cell-activity and mobility changes (it depends only on
+  /// the active set and mean powers, never on plans).
   /// Queried from shard workers during staged measurement (DESIGN.md §16).
   // cellfi-purity: contract-root(parallel-shard-phase) LteNetwork::IdleCrsPenaltyDb
   double IdleCrsPenaltyDb(CellId serving, RadioNodeId rx) const;
-  /// Uncached scan behind IdleCrsPenaltyDb (the legacy path calls it
-  /// directly every time).
-  double ComputeIdleCrsPenaltyDb(CellId serving, RadioNodeId rx) const;
 
   /// Rebuild the engine's downlink transmitter lists from the cells'
   /// committed plans. Runs after plan commit in RunDownlinkSubframe;

@@ -1,19 +1,24 @@
 // The per-subframe interference engine's determinism contract (DESIGN.md
 // §12): with culling off, every path through InterferenceMap must be
-// BIT-identical to the legacy per-link summation — same doubles, not just
-// close — across fading on/off, cell activity toggles and mobility. The
+// BIT-identical to the per-link summation of RadioEnvironment::SinrDb —
+// same doubles, not just close — across fading on/off, cell activity
+// toggles and mobility. The
 // negligible-interferer cull is opt-in and bounded: dropping terms >= 30 dB
 // below the noise floor moves any SINR by less than 0.01 dB.
 #include "cellfi/radio/interference.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "cellfi/lte/network.h"
 #include "cellfi/radio/pathloss.h"
 #include "cellfi/scenario/harness.h"
+#include "cellfi/scenario/report.h"
+#include "golden_file.h"
 
 namespace cellfi {
 namespace {
@@ -149,29 +154,28 @@ TEST(InterferenceMapCullTest, DropsBelowFloorInterferersWithinEpsilon) {
 }
 
 // ---------------------------------------------------------------------------
-// Network-level bit-identity: two LteNetworks over identically seeded
-// environments, one on the engine and one on the legacy path, stepped in
-// lockstep through activity toggles and mobility.
+// Network-level bit-identity: every MeasureDownlinkSinr value must equal a
+// test-side oracle rebuilt from the committed downlink plans with the
+// per-link RadioEnvironment::SinrDb and a written-out idle-CRS scan, at
+// each step through activity toggles and mobility.
 // ---------------------------------------------------------------------------
 
-class DualNetwork {
+class OracleNetwork {
  public:
-  explicit DualNetwork(bool engine)
-      : env_(pathloss_, EnvConfig(/*fading=*/false)), net_(sim_, env_, NetConfig(engine)) {}
+  OracleNetwork() : env_(pathloss_, EnvConfig(/*fading=*/false)), net_(sim_, env_, NetConfig()) {}
 
-  static lte::LteNetworkConfig NetConfig(bool engine) {
+  static lte::LteNetworkConfig NetConfig() {
     lte::LteNetworkConfig c;
-    c.use_interference_engine = engine;
     c.seed = 11;
     return c;
   }
 
   lte::CellId AddCellAt(Point p) {
-    const RadioNodeId r = env_.AddNode({.position = p, .tx_power_dbm = 30.0});
+    cell_radios_.push_back(env_.AddNode({.position = p, .tx_power_dbm = 30.0}));
     lte::LteMacConfig mac;
     mac.bandwidth = LteBandwidth::k5MHz;
     mac.tdd_config = 4;
-    return net_.AddCell(mac, r);
+    return net_.AddCell(mac, cell_radios_.back());
   }
 
   lte::UeId AddUeAt(Point p) {
@@ -179,72 +183,116 @@ class DualNetwork {
     return net_.AddUe(ue_radios_.back());
   }
 
+  /// MeasureDownlinkSinr(ue) from first principles: interferers are the
+  /// active cells whose committed downlink plan carries data on the
+  /// subchannel, listed in cell-index order at power_scale 1/n, minus the
+  /// idle-CRS coding penalty (~1 dB per comparable-power active
+  /// neighbour, capped at 2 dB). Counts the interferer terms it used.
+  std::vector<double> OracleSinr(lte::UeId ue) {
+    const lte::UeInfo& info = net_.ue(ue);
+    const ResourceGrid& grid = net_.cell(0).grid();
+    const int n = grid.num_subchannels();
+    std::vector<double> out(static_cast<std::size_t>(n), -40.0);
+    if (info.serving == lte::kInvalidCell || !net_.cell_active(info.serving)) return out;
+    const RadioNodeId signal = cell_radios_[static_cast<std::size_t>(info.serving)];
+
+    double crs_penalty = 0.0;
+    const double signal_mw = env_.MeanRxPowerMw(signal, info.radio);
+    if (signal_mw > 0.0) {
+      for (std::size_t c = 0; c < cell_radios_.size(); ++c) {
+        const auto cell = static_cast<lte::CellId>(c);
+        if (cell == info.serving || !net_.cell_active(cell)) continue;
+        crs_penalty += std::min(1.0, env_.MeanRxPowerMw(cell_radios_[c], info.radio) / signal_mw);
+      }
+      crs_penalty = std::min(crs_penalty, 2.0);
+    }
+
+    const double share = 1.0 / static_cast<double>(n);
+    std::vector<ActiveTransmitter> interferers;
+    for (int s = 0; s < n; ++s) {
+      interferers.clear();
+      for (std::size_t c = 0; c < cell_radios_.size(); ++c) {
+        const auto cell = static_cast<lte::CellId>(c);
+        if (cell == info.serving || !net_.cell_active(cell)) continue;
+        const lte::TxPlan* plan = net_.committed_dl_plan(cell);
+        if (plan != nullptr && plan->data_active[static_cast<std::size_t>(s)]) {
+          interferers.push_back(ActiveTransmitter{.node = cell_radios_[c], .power_scale = share});
+        }
+      }
+      interferer_terms_ += interferers.size();
+      out[static_cast<std::size_t>(s)] =
+          env_.SinrDb(signal, info.radio, static_cast<std::uint32_t>(s), sim_.Now(),
+                      interferers, grid.rbg_size() * kRbBandwidthHz, share) -
+          crs_penalty;
+    }
+    return out;
+  }
+
   HataUrbanPathLoss pathloss_;
   Simulator sim_;
   RadioEnvironment env_;
   lte::LteNetwork net_;
+  std::vector<RadioNodeId> cell_radios_;
   std::vector<RadioNodeId> ue_radios_;
+  std::size_t interferer_terms_ = 0;
 };
 
 TEST(InterferenceEngineNetworkTest, LockstepBitIdentityAcrossActivityAndMobility) {
-  DualNetwork engine(true);
-  DualNetwork legacy(false);
-  for (DualNetwork* d : {&engine, &legacy}) {
-    d->AddCellAt({0, 0});
-    d->AddCellAt({900, 0});
-    d->AddCellAt({0, 900});
-    for (int c = 0; c < 3; ++c) {
-      for (int u = 0; u < 2; ++u) {
-        d->AddUeAt({100.0 + 400.0 * c, 50.0 + 300.0 * u});
-      }
-    }
-    d->net_.Start();
-    d->sim_.RunUntil(300 * kMillisecond);
-    for (lte::UeId u = 0; u < 6; ++u) d->net_.OfferDownlink(u, 8 << 20);
-    d->sim_.RunUntil(500 * kMillisecond);
+  // Four loaded cells, so every UE sees three interferers per subchannel:
+  // enough terms that a change in their summation order changes the bits.
+  OracleNetwork d;
+  for (const Point cell : {Point{0, 0}, Point{900, 0}, Point{0, 900}, Point{900, 900}}) {
+    d.AddCellAt(cell);
+    d.AddUeAt(cell + Point{100, 50});
+    d.AddUeAt(cell + Point{-150, 250});
   }
+  const auto num_ues = static_cast<lte::UeId>(d.ue_radios_.size());
+  d.net_.Start();
+  d.sim_.RunUntil(300 * kMillisecond);
+  for (lte::UeId u = 0; u < num_ues; ++u) d.net_.OfferDownlink(u, 8 << 20);
+  d.sim_.RunUntil(500 * kMillisecond);
 
-  auto expect_identical = [&](const char* when) {
-    for (lte::UeId u = 0; u < 6; ++u) {
-      ASSERT_EQ(engine.net_.ue(u).serving, legacy.net_.ue(u).serving) << when;
-      const std::vector<double> a = engine.net_.MeasureDownlinkSinr(u);
-      const std::vector<double> b = legacy.net_.MeasureDownlinkSinr(u);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t s = 0; s < a.size(); ++s) {
-        EXPECT_EQ(a[s], b[s]) << when << " ue=" << u << " s=" << s;
+  auto expect_oracle = [&](const char* when) {
+    const std::size_t terms_before = d.interferer_terms_;
+    for (lte::UeId u = 0; u < num_ues; ++u) {
+      const std::vector<double> engine = d.net_.MeasureDownlinkSinr(u);
+      const std::vector<double> oracle = d.OracleSinr(u);
+      ASSERT_EQ(engine.size(), oracle.size());
+      for (std::size_t s = 0; s < engine.size(); ++s) {
+        EXPECT_EQ(engine[s], oracle[s]) << when << " ue=" << u << " s=" << s;
       }
     }
-    EXPECT_EQ(engine.net_.total_dl_bits(), legacy.net_.total_dl_bits()) << when;
+    // Non-vacuous: each checkpoint sits in a loaded downlink subframe.
+    EXPECT_GT(d.interferer_terms_, terms_before) << when;
   };
-  expect_identical("steady state");
+  expect_oracle("steady state");
 
   // Activity toggle: the engine must invalidate its map and CRS cache.
-  for (DualNetwork* d : {&engine, &legacy}) d->net_.SetCellActive(1, false);
-  expect_identical("after deactivate");
-  for (DualNetwork* d : {&engine, &legacy}) {
-    d->net_.SetCellActive(1, true);
-    d->sim_.RunUntil(700 * kMillisecond);
-  }
-  expect_identical("after reactivate + run");
+  d.net_.SetCellActive(1, false);
+  expect_oracle("after deactivate");
+  d.net_.SetCellActive(1, true);
+  d.sim_.RunUntil(700 * kMillisecond);
+  expect_oracle("after reactivate + run");
 
-  // Mobility: position_epoch must invalidate the aggregate rows.
-  for (DualNetwork* d : {&engine, &legacy}) {
-    d->env_.MoveNode(d->ue_radios_[0], {700, 120});
-    d->sim_.RunUntil(900 * kMillisecond);
-  }
-  expect_identical("after mobility + run");
-  EXPECT_EQ(engine.net_.interference_culled_total(), 0u);
+  // Mobility: position_epoch must invalidate the aggregate rows and the
+  // CRS cache, both within the current map epoch and across later ones.
+  d.env_.MoveNode(d.ue_radios_[0], {700, 120});
+  expect_oracle("after mobility");
+  d.sim_.RunUntil(900 * kMillisecond);
+  expect_oracle("after mobility + run");
+  EXPECT_EQ(d.net_.interference_culled_total(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Scenario-level regression: full RunScenarioOn with the engine on vs off
-// must produce bit-identical outcomes on fig9a-style topologies — fading
-// off (exercising the aggregate cache + CellFi masks) and fading on (the
-// per-link fallback), culling off in both.
+// Scenario-level regression: full RunScenario outcomes on fig9a-style
+// topologies, byte-compared with golden reports recorded when the engine
+// still ran next to the per-link path it replaced (and matched it bit for
+// bit) — fading off (the aggregate cache + CellFi masks) and fading on
+// (the per-link fallback), culling off in both.
 // ---------------------------------------------------------------------------
 
 scenario::ScenarioConfig ScenarioFor(scenario::Technology tech, bool fading,
-                                     bool engine, double floor_db) {
+                                     double floor_db) {
   scenario::ScenarioConfig cfg;
   cfg.tech = tech;
   cfg.workload = scenario::WorkloadKind::kBacklogged;
@@ -259,40 +307,38 @@ scenario::ScenarioConfig ScenarioFor(scenario::Technology tech, bool fading,
   cfg.warmup = 1 * kSecond;
   cfg.duration = 3 * kSecond;
   cfg.enable_fading = fading;
-  cfg.use_interference_engine = engine;
   cfg.interference_floor_db = floor_db;
   cfg.seed = 41;
   return cfg;
 }
 
-void ExpectBitIdentical(const scenario::ScenarioResult& a,
-                        const scenario::ScenarioResult& b) {
-  EXPECT_EQ(a.total_throughput_bps, b.total_throughput_bps);
-  EXPECT_EQ(a.fraction_connected, b.fraction_connected);
-  EXPECT_EQ(a.fraction_starved, b.fraction_starved);
-  ASSERT_EQ(a.clients.size(), b.clients.size());
-  for (std::size_t i = 0; i < a.clients.size(); ++i) {
-    EXPECT_EQ(a.clients[i].throughput_bps, b.clients[i].throughput_bps) << "client " << i;
-    EXPECT_EQ(a.clients[i].attached, b.clients[i].attached) << "client " << i;
-  }
+TEST(InterferenceEngineScenarioTest, MatchesGoldenCellFiNoFading) {
+  const auto cfg = ScenarioFor(scenario::Technology::kCellFi, false, 0.0);
+  const auto result = scenario::RunScenario(cfg);
+  EXPECT_GT(result.total_throughput_bps, 0.0);
+  ExpectMatchesGolden("scenario_cellfi_nofading.json",
+                      scenario::ResultToJson(result).Dump());
 }
 
-TEST(InterferenceEngineScenarioTest, EngineOffOnBitIdenticalNoFading) {
-  const auto on = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kCellFi, false, true, 0.0));
-  const auto off = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kCellFi, false, false, 0.0));
-  ExpectBitIdentical(on, off);
-  EXPECT_GT(on.total_throughput_bps, 0.0);
+TEST(InterferenceEngineScenarioTest, MatchesGoldenLteWithFading) {
+  const auto cfg = ScenarioFor(scenario::Technology::kLte, true, 0.0);
+  const auto result = scenario::RunScenario(cfg);
+  EXPECT_GT(result.total_throughput_bps, 0.0);
+  ExpectMatchesGolden("scenario_lte_fading.json",
+                      scenario::ResultToJson(result).Dump());
 }
 
-TEST(InterferenceEngineScenarioTest, EngineOffOnBitIdenticalWithFading) {
-  const auto on = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kLte, true, true, 0.0));
-  const auto off = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kLte, true, false, 0.0));
-  ExpectBitIdentical(on, off);
-  EXPECT_GT(on.total_throughput_bps, 0.0);
+TEST(InterferenceEngineConfigTest, DisablingTheEngineThrows) {
+  HataUrbanPathLoss pathloss;
+  Simulator sim;
+  RadioEnvironment env(pathloss, EnvConfig(/*fading=*/false));
+  lte::LteNetworkConfig net_cfg;
+  net_cfg.use_interference_engine = false;
+  EXPECT_THROW(lte::LteNetwork(sim, env, net_cfg), std::invalid_argument);
+
+  auto cfg = ScenarioFor(scenario::Technology::kLte, false, 0.0);
+  cfg.use_interference_engine = false;
+  EXPECT_THROW(scenario::RunScenario(cfg), std::invalid_argument);
 }
 
 TEST(InterferenceEngineScenarioTest, CullingStaysWithinTolerance) {
@@ -300,9 +346,9 @@ TEST(InterferenceEngineScenarioTest, CullingStaysWithinTolerance) {
   // summaries must stay within a small relative band of the exact run
   // (CQI quantization usually absorbs the perturbation entirely).
   const auto exact = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kLte, false, true, 0.0));
+      ScenarioFor(scenario::Technology::kLte, false, 0.0));
   const auto culled = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kLte, false, true, 30.0));
+      ScenarioFor(scenario::Technology::kLte, false, 30.0));
   EXPECT_GT(exact.total_throughput_bps, 0.0);
   EXPECT_NEAR(culled.total_throughput_bps / exact.total_throughput_bps, 1.0, 0.02);
   EXPECT_NEAR(culled.fraction_connected, exact.fraction_connected, 0.11);
