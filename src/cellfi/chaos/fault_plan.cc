@@ -1,7 +1,7 @@
 #include "cellfi/chaos/fault_plan.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 #include <tuple>
 
 namespace cellfi::chaos {
@@ -22,8 +22,12 @@ SimTime FromUs(std::int64_t us) { return us * kMicrosecond; }
 
 bool ReadTimeUs(const json::Value& obj, const std::string& key, SimTime* out) {
   if (const json::Value* v = obj.Find(key)) {
-    if (!v->is_number() || v->as_number() < 0) return false;
-    *out = FromUs(v->as_int());
+    // Whole, non-negative microseconds whose nanosecond value fits SimTime.
+    const auto us = v->as_integer<std::int64_t>();
+    if (!us || *us < 0 || *us > std::numeric_limits<SimTime>::max() / kMicrosecond) {
+      return false;
+    }
+    *out = FromUs(*us);
   }
   return true;
 }
@@ -38,8 +42,9 @@ bool ReadProbability(const json::Value& obj, const std::string& key, double* out
 
 bool ReadInt(const json::Value& obj, const std::string& key, int* out) {
   if (const json::Value* v = obj.Find(key)) {
-    if (!v->is_number()) return false;
-    *out = static_cast<int>(v->as_int());
+    const auto i = v->as_integer<int>();
+    if (!i) return false;
+    *out = *i;
   }
   return true;
 }
@@ -128,15 +133,10 @@ std::optional<FaultPlan> FaultPlan::FromJson(const json::Value& value) {
     plan.name = name->as_string();
   }
   if (const json::Value* seed = value.Find("seed")) {
-    if (seed->is_string()) {
-      char* end = nullptr;
-      plan.seed = std::strtoull(seed->as_string().c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') return std::nullopt;
-    } else if (seed->is_number() && seed->as_number() >= 0) {
-      plan.seed = static_cast<std::uint64_t>(seed->as_int());
-    } else {
-      return std::nullopt;
-    }
+    const auto n = seed->is_string() ? seed->as_decimal_u64()
+                                     : seed->as_integer<std::uint64_t>();
+    if (!n) return std::nullopt;
+    plan.seed = *n;
   }
   if (const json::Value* link = value.Find("link")) {
     if (!link->is_object()) return std::nullopt;

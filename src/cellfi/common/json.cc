@@ -20,6 +20,16 @@ const Value* Value::Find(const std::string& key) const {
   return it == as_object().end() ? nullptr : &it->second;
 }
 
+std::optional<std::uint64_t> Value::as_decimal_u64() const {
+  if (!is_string()) return std::nullopt;
+  const std::string& text = as_string();
+  const char* end = text.data() + text.size();
+  std::uint64_t out = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return out;
+}
+
 namespace {
 
 void DumpString(const std::string& s, std::ostringstream& out) {

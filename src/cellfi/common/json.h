@@ -5,11 +5,14 @@
 // JSON data model except that numbers are always stored as double.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -43,7 +46,27 @@ class Value {
 
   bool as_bool() const { return std::get<bool>(data_); }
   double as_number() const { return std::get<double>(data_); }
-  std::int64_t as_int() const { return static_cast<std::int64_t>(std::get<double>(data_)); }
+  /// The number as a T, or nullopt unless this is a number holding an
+  /// integral value inside T's range: a fractional, non-finite or
+  /// out-of-range value (`1.5`, `1e300`, `-1` for unsigned T) is rejected,
+  /// never truncated or wrapped.
+  template <typename T>
+  std::optional<T> as_integer() const {
+    static_assert(std::is_integral_v<T>);
+    if (!is_number()) return std::nullopt;
+    const double d = std::get<double>(data_);
+    // 2^digits is the first integer past T's maximum, exact as a double.
+    const double end = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (!(d >= static_cast<double>(std::numeric_limits<T>::min()) && d < end) ||
+        d != std::trunc(d)) {
+      return std::nullopt;
+    }
+    return static_cast<T>(d);
+  }
+  /// A string of plain decimal digits naming a uint64 (how 64-bit seeds
+  /// are serialized: a double cannot hold every one), or nullopt — no
+  /// sign, whitespace, trailing text or overflow.
+  std::optional<std::uint64_t> as_decimal_u64() const;
   const std::string& as_string() const { return std::get<std::string>(data_); }
   const Array& as_array() const { return std::get<Array>(data_); }
   Array& as_array() { return std::get<Array>(data_); }

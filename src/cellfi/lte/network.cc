@@ -327,38 +327,16 @@ void LteNetwork::EnsureShardState() {
   shard_threads_ = ResolveShardThreads(config_.shard_threads, k);
   shard_pool_.reset();
   if (shard_threads_ > 1) shard_pool_ = std::make_unique<WorkerPool>(shard_threads_);
-  shard_scratch_.assign(static_cast<std::size_t>(k), {});
   plan_pending_.assign(cells_.size(), 0);
   staged_tb_sinr_.assign(cells_.size(), {});
   // Per-receiver caches grow lazily on the serial paths; presize them here
   // so no worker thread ever sees a resize.
   if (crs_cache_.size() < env_.node_count()) crs_cache_.resize(env_.node_count());
-  if (env_.config().interference_floor_db > 0.0) {
-    neighbor_graph_.Build(env_, env_.config().interference_floor_db,
-                          subchannel_bandwidth_hz_);
-    imap_.SetNeighborGraph(&neighbor_graph_);
-  }
   if (k > 1) {
     if (obs::TraceSink* tr = obs::ActiveTrace()) {
-      std::vector<RadioNodeId> cell_radios;
-      cell_radios.reserve(cells_.size());
-      for (const CellRec& rec : cells_) cell_radios.push_back(rec.radio);
-      const int cross =
-          neighbor_graph_.built()
-              ? static_cast<int>(
-                    CountCrossShardEdges(neighbor_graph_, *shard_grid_, cell_radios))
-              : -1;  // cull off: every pair couples, the count is vacuous
-      tr->Emit(sim_.Now(), "lte", "shard_setup",
-               {{"shards", k}, {"cross_edges", cross}});
+      tr->Emit(sim_.Now(), "lte", "shard_setup", {{"shards", k}});
     }
   }
-}
-
-void LteNetwork::RefreshNeighborGraph() {
-  if (!neighbor_graph_.built()) return;
-  if (neighbor_graph_.build_position_epoch() == env_.position_epoch()) return;
-  neighbor_graph_.Build(env_, env_.config().interference_floor_db,
-                        subchannel_bandwidth_hz_);
 }
 
 void LteNetwork::ForEachShard(const std::function<void(int)>& task) {
@@ -400,9 +378,7 @@ void LteNetwork::EnsureDownlinkMap() const {
   if (!dl_map_valid_) BuildDownlinkMap();
 }
 
-void LteNetwork::MeasureDownlinkSinrInto(
-    UeId ue_id, std::vector<double>& out,
-    std::vector<ActiveTransmitter>* scratch) const {
+void LteNetwork::MeasureDownlinkSinrInto(UeId ue_id, std::vector<double>& out) const {
   const UeInfo& info = ues_[static_cast<std::size_t>(ue_id)];
   out.assign(static_cast<std::size_t>(num_subchannels_), -40.0);
   if (info.serving == kInvalidCell) return;
@@ -413,14 +389,14 @@ void LteNetwork::MeasureDownlinkSinrInto(
   EnsureDownlinkMap();
   for (int s = 0; s < num_subchannels_; ++s) {
     out[static_cast<std::size_t>(s)] =
-        imap_.SinrDb(serving.radio, info.radio, s, sim_.Now(), signal_scale, scratch) -
+        imap_.SinrDb(serving.radio, info.radio, s, sim_.Now(), signal_scale) -
         crs_penalty;
   }
 }
 
 std::vector<double> LteNetwork::MeasureDownlinkSinr(UeId ue_id) const {
   std::vector<double> sinr;
-  MeasureDownlinkSinrInto(ue_id, sinr, nullptr);
+  MeasureDownlinkSinrInto(ue_id, sinr);
   return sinr;
 }
 
@@ -510,7 +486,6 @@ bool LteNetwork::LbtMayTransmit(CellRec& rec) {
 
 void LteNetwork::RunDownlinkSubframe() {
   EnsureShardState();
-  RefreshNeighborGraph();
 
   // Phase 1a (serial): reset every cell and run the access gate. LBT draws
   // from the shared Rng, so the gate stays serial in cell-index order —
@@ -607,7 +582,6 @@ void LteNetwork::RunDownlinkSubframe() {
   // penalty cache) is indexed by receiver, and each UE is only queried
   // by the shard owning its serving cell.
   ForEachShard([this, signal_scale](int s) {
-    std::vector<ActiveTransmitter>* scratch = &shard_scratch_[static_cast<std::size_t>(s)];
     for (int c : shard_grid_->cells(s)) {
       CellRec& rec = cells_[static_cast<std::size_t>(c)];
       std::vector<double>& staged = staged_tb_sinr_[static_cast<std::size_t>(c)];
@@ -620,7 +594,7 @@ void LteNetwork::RunDownlinkSubframe() {
         double sinr_linear_sum = 0.0;
         for (int sub : tx.subchannels) {
           sinr_linear_sum += DbToLinear(
-              imap_.SinrDb(rec.radio, info.radio, sub, sim_.Now(), signal_scale, scratch));
+              imap_.SinrDb(rec.radio, info.radio, sub, sim_.Now(), signal_scale));
         }
         staged.push_back(
             LinearToDb(sinr_linear_sum / static_cast<double>(tx.subchannels.size())) -
@@ -679,7 +653,6 @@ void LteNetwork::RunDownlinkSubframe() {
 
 void LteNetwork::RunUplinkSubframe() {
   EnsureShardState();
-  RefreshNeighborGraph();
 
   // Phase 1a (serial): reset. Phase 1b (parallel): plans — PlanUplink is
   // RNG-free and per-cell, so shards are independent.
@@ -714,7 +687,6 @@ void LteNetwork::RunUplinkSubframe() {
   // Phase 2 (parallel): stage each transmission's tb SINR. The receiver
   // of uplink is the cell's own radio, owned by its shard.
   ForEachShard([this](int s) {
-    std::vector<ActiveTransmitter>* scratch = &shard_scratch_[static_cast<std::size_t>(s)];
     for (int c : shard_grid_->cells(s)) {
       CellRec& rec = cells_[static_cast<std::size_t>(c)];
       std::vector<double>& staged = staged_tb_sinr_[static_cast<std::size_t>(c)];
@@ -727,7 +699,7 @@ void LteNetwork::RunUplinkSubframe() {
         double sinr_linear_sum = 0.0;
         for (int sub : tx.subchannels) {
           sinr_linear_sum += DbToLinear(
-              imap_.SinrDb(info.radio, rec.radio, sub, sim_.Now(), signal_scale, scratch));
+              imap_.SinrDb(info.radio, rec.radio, sub, sim_.Now(), signal_scale));
         }
         staged.push_back(
             LinearToDb(sinr_linear_sum / static_cast<double>(tx.subchannels.size())));
@@ -768,12 +740,10 @@ void LteNetwork::GenerateCqiReports() {
         cell(info.serving).FindUe(info.id) != nullptr;
   }
   ForEachShard([this](int s) {
-    std::vector<ActiveTransmitter>* scratch = &shard_scratch_[static_cast<std::size_t>(s)];
     for (const UeInfo& info : ues_) {
       if (!cqi_pending_[static_cast<std::size_t>(info.id)]) continue;
       if (shard_grid_->shard_of(info.serving) != s) continue;
-      MeasureDownlinkSinrInto(
-          info.id, staged_cqi_sinr_[static_cast<std::size_t>(info.id)], scratch);
+      MeasureDownlinkSinrInto(info.id, staged_cqi_sinr_[static_cast<std::size_t>(info.id)]);
     }
   });
   EmitShardMetrics();

@@ -183,24 +183,10 @@ class LteNetwork {
 
   std::uint64_t total_dl_bits() const;
 
-  /// Interference terms dropped by the negligible-interferer cull
-  /// (RadioEnvironmentConfig::interference_floor_db) — 0 unless the cull
-  /// is enabled.
-  std::uint64_t interference_culled_total() const { return imap_.culled_total(); }
-  /// Drops discovered while resolving the most recent subframe.
-  std::uint64_t interference_culled_last_subframe() const {
-    return imap_.culled_this_epoch();
-  }
-
   /// Resolved shard partition size / worker threads (1 before the first
   /// subframe builds the shard state). Test/bench introspection.
   int shard_count() const { return shard_grid_ ? shard_grid_->num_shards() : 1; }
   int shard_thread_count() const { return shard_threads_; }
-  /// The cull-derived neighbor graph, or nullptr when the cull is off
-  /// (every pair would be a neighbor) or no subframe has run yet.
-  const NeighborGraph* neighbor_graph() const {
-    return neighbor_graph_.built() ? &neighbor_graph_ : nullptr;
-  }
   /// The downlink plan a cell committed in the most recent subframe, or
   /// nullptr when that subframe carried no downlink data from it (uplink
   /// or special subframe, no load, LBT deferral). Test introspection.
@@ -233,14 +219,10 @@ class LteNetwork {
   void GenerateCqiReports();
 
   // --- Intra-replication sharding (DESIGN.md §15) -------------------------------
-  /// Build (once) the spatial partition, worker pool, neighbor graph and
-  /// staging buffers; presize every lazily grown per-receiver cache at a
-  /// serial point so no worker ever triggers a resize.
+  /// Build (once) the spatial partition, worker pool and staging buffers;
+  /// presize every lazily grown per-receiver cache at a serial point so no
+  /// worker ever triggers a resize.
   void EnsureShardState();
-  /// Rebuild the neighbor graph when node mobility invalidated it. Called
-  /// at serial subframe entry; correctness never depends on it (a stale
-  /// graph is simply ignored by the engine), only cull speed does.
-  void RefreshNeighborGraph();
   /// Run task(shard) for every shard — on the worker pool when one exists,
   /// inline otherwise. Returns only after all shards finish: this IS the
   /// subframe barrier between a parallel phase and the serial merge.
@@ -249,12 +231,10 @@ class LteNetwork {
   /// imbalance histogram from per-shard staged transmission counts (never
   /// wall time — obs must not perturb determinism).
   void EmitShardMetrics();
-  /// MeasureDownlinkSinr body writing into a caller buffer; `scratch` is
-  /// the per-thread cull scratch for concurrent staging (nullptr = serial).
-  /// Runs on shard workers during staged SINR/CQI phases (DESIGN.md §16).
+  /// MeasureDownlinkSinr body writing into a caller buffer. Runs on shard
+  /// workers during staged SINR/CQI phases (DESIGN.md §16).
   // cellfi-purity: contract-root(parallel-shard-phase) LteNetwork::MeasureDownlinkSinrInto
-  void MeasureDownlinkSinrInto(UeId ue, std::vector<double>& out,
-                               std::vector<ActiveTransmitter>* scratch) const;
+  void MeasureDownlinkSinrInto(UeId ue, std::vector<double>& out) const;
   void SolicitPrach();
   void TryAttach(UeId ue);
   void Detach(UeId ue, bool count_disconnection);
@@ -314,14 +294,11 @@ class LteNetwork {
   // bit-identical for any shard or thread count.
   std::unique_ptr<ShardGrid> shard_grid_;
   std::unique_ptr<WorkerPool> shard_pool_;  // only when shard_threads_ > 1
-  NeighborGraph neighbor_graph_;            // built when the cull is on
   int shard_threads_ = 1;
   std::vector<std::uint8_t> plan_pending_;  // cells gated into DL planning
   /// Per cell: tb SINR (dB) of each planned transmission, staged by the
   /// parallel phase, consumed by the serial commit.
   std::vector<std::vector<double>> staged_tb_sinr_;
-  /// Per shard: cull-survivor scratch handed to InterferenceMap::SinrDb.
-  std::vector<std::vector<ActiveTransmitter>> shard_scratch_;
   std::vector<std::uint8_t> cqi_pending_;             // UEs reporting this round
   std::vector<std::vector<double>> staged_cqi_sinr_;  // per UE
 };

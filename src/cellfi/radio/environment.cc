@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "cellfi/common/simd.h"
@@ -15,7 +16,13 @@ RadioEnvironment::RadioEnvironment(const PathLossModel& pathloss,
       config_(config),
       shadowing_(config.seed, config.shadowing_sigma_db),
       fading_(config.seed ^ 0xFAD1FAD1FAD1FAD1ull, config.fading_coherence_time,
-              config.rician_k) {}
+              config.rician_k) {
+  if (config_.interference_floor_db > 0.0) {
+    throw std::invalid_argument(
+        "RadioEnvironmentConfig::interference_floor_db > 0 is no longer supported: "
+        "the interference cull was removed and every interferer counts");
+  }
+}
 
 RadioNodeId RadioEnvironment::AddNode(RadioNode node) {
   // O(n): one unset column per existing row, then the new node's row.

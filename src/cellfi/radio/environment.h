@@ -40,12 +40,12 @@ struct RadioEnvironmentConfig {
   /// Rician K-factor (linear). 0 = Rayleigh; ~6-10 for static outdoor
   /// nodes with a line-of-sight component.
   double rician_k = 0.0;
-  /// Negligible-interferer cull for the interference engine
-  /// (InterferenceMap): interferers whose mean rx power is at least this
-  /// many dB below the receiver's noise floor are dropped from the
-  /// precomputed interference lists. <= 0 disables the cull (the default:
-  /// every interferer counts and the engine is bit-identical to the
-  /// per-link path). See DESIGN.md §12 for when enabling it is safe.
+  /// Dead: the negligible-interferer cull this threshold enabled was
+  /// removed (DESIGN.md §12), so every interferer always counts. Values
+  /// <= 0 are accepted and change nothing; the RadioEnvironment
+  /// constructor throws std::invalid_argument on a positive value. The
+  /// field exists only so perfbench/driver.cc, which still copies it,
+  /// compiles; the next change to perfbench deletes it.
   double interference_floor_db = 0.0;
   std::uint64_t seed = 1;
 };

@@ -86,8 +86,11 @@ struct ScenarioConfig {
   /// exists only so perfbench/driver.cc, which still assigns it, compiles;
   /// the next change to perfbench deletes it.
   bool use_interference_engine = true;
-  /// Negligible-interferer cull threshold (dB below the noise floor);
-  /// <= 0 keeps every interferer (exact arithmetic).
+  /// Dead: the interference cull was removed, so must stay <= 0
+  /// (RunScenario throws std::invalid_argument on a positive value via
+  /// RadioEnvironment). The field exists only so perfbench/driver.cc,
+  /// which still copies it, compiles; the next change to perfbench
+  /// deletes it.
   double interference_floor_db = 0.0;
   /// Intra-replication spatial shards (DESIGN.md §15): the LTE cell grid
   /// is partitioned into this many groups whose subframe work can run on

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 
 #include "cellfi/scenario/report.h"
 
 namespace cellfi::scenario {
 
 /// One line of the checkpoint file: the durable outcome of a finished
-/// replication, keyed by (point, rep).
+/// replication, keyed by (point, rep, seed).
 struct SweepSupervisor::Checkpoint {
   int point = 0;
   int rep = 0;
@@ -46,21 +47,25 @@ void SweepSupervisor::LoadCheckpoints() {
     if (line.empty()) continue;
     const auto parsed = json::Parse(line);
     if (!parsed || !parsed->is_object()) continue;  // torn tail write
+    // The key fields are required and must read exactly; a line that lacks
+    // one is skipped like a torn write, and its replication re-runs.
+    const json::Value* point = parsed->Find("point");
+    const json::Value* rep = parsed->Find("rep");
+    const json::Value* seed = parsed->Find("seed");
+    const json::Value* ok = parsed->Find("ok");
+    const auto point_v = point != nullptr ? point->as_integer<int>() : std::nullopt;
+    const auto rep_v = rep != nullptr ? rep->as_integer<int>() : std::nullopt;
+    const auto seed_v = seed != nullptr ? seed->as_decimal_u64() : std::nullopt;
+    if (!point_v || !rep_v || !seed_v || ok == nullptr || !ok->is_bool()) continue;
     Checkpoint cp;
-    if (const json::Value* v = parsed->Find("point"); v != nullptr && v->is_number()) {
-      cp.point = static_cast<int>(v->as_int());
-    }
-    if (const json::Value* v = parsed->Find("rep"); v != nullptr && v->is_number()) {
-      cp.rep = static_cast<int>(v->as_int());
-    }
-    if (const json::Value* v = parsed->Find("seed"); v != nullptr && v->is_string()) {
-      cp.seed = std::strtoull(v->as_string().c_str(), nullptr, 10);
-    }
-    if (const json::Value* v = parsed->Find("ok"); v != nullptr && v->is_bool()) {
-      cp.ok = v->as_bool();
-    }
-    if (const json::Value* v = parsed->Find("attempts"); v != nullptr && v->is_number()) {
-      cp.attempts = static_cast<int>(v->as_int());
+    cp.point = *point_v;
+    cp.rep = *rep_v;
+    cp.seed = *seed_v;
+    cp.ok = ok->as_bool();
+    if (const json::Value* v = parsed->Find("attempts")) {
+      const auto attempts = v->as_integer<int>();
+      if (!attempts) continue;
+      cp.attempts = *attempts;
     }
     if (const json::Value* v = parsed->Find("sim_s"); v != nullptr && v->is_number()) {
       cp.sim_seconds = v->as_number();
@@ -107,12 +112,14 @@ std::vector<ReplicationOutcome> SweepSupervisor::Run(
   runner_->RunTasks(jobs.size(), [&](std::size_t i) {
     const Replication& job = jobs[i];
 
-    // Resume: a successful checkpoint stands in for the run. Failed
-    // checkpoints are retried from scratch — a resumed sweep gets another
-    // chance at transient failures.
+    // Resume: a successful checkpoint of this very replication — same
+    // (point, rep) and same seed, so a file left by another sweep never
+    // stands in — replaces the run. Failed checkpoints are retried from
+    // scratch — a resumed sweep gets another chance at transient failures.
     const Checkpoint* resumed = nullptr;
     for (const Checkpoint& cp : checkpoints_) {
-      if (cp.point == job.point && cp.rep == job.rep && cp.ok) {
+      if (cp.point == job.point && cp.rep == job.rep && cp.seed == job.config.seed &&
+          cp.ok) {
         resumed = &cp;
         break;
       }

@@ -12,7 +12,8 @@
 // and with checkpoint/resume for long sweeps: every finished replication
 // appends one JSONL record to the checkpoint file, and a later run with
 // the same file (CELLFI_SWEEP_RESUME or SupervisorOptions::resume_path)
-// restores completed replications instead of re-running them. Because a
+// restores completed replications — matched on (point, rep) and seed —
+// instead of re-running them. Because a
 // replication is a pure function of its config, a resumed sweep's
 // artifact is byte-identical to an uninterrupted run's, modulo the
 // wall-clock fields.

@@ -187,11 +187,17 @@ std::optional<AvailSpectrumResponse> PawsClient::ParseAvailSpectrumResponse(
     const Value* spectra = sched.Find("spectra");
     if (event == nullptr || spectra == nullptr || !spectra->is_array()) continue;
     ChannelAvailability avail;
+    // A lease bound must be a whole nanosecond count that fits SimTime; an
+    // unreadable one invalidates the response rather than the lease.
     if (const Value* st = event->Find("startTimeNs"); st != nullptr && st->is_number()) {
-      avail.lease_start = st->as_int();
+      const auto ns = st->as_integer<SimTime>();
+      if (!ns) return std::nullopt;
+      avail.lease_start = *ns;
     }
     if (const Value* et = event->Find("stopTimeNs"); et != nullptr && et->is_number()) {
-      avail.lease_expiry = et->as_int();
+      const auto ns = et->as_integer<SimTime>();
+      if (!ns) return std::nullopt;
+      avail.lease_expiry = *ns;
     }
     for (const Value& spectrum : spectra->as_array()) {
       const Value* profiles = spectrum.Find("profiles");

@@ -8,6 +8,7 @@
 // supervisor (retry, quarantine, watchdog, checkpoint/resume).
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "cellfi/chaos/fault_plan.h"
 #include "cellfi/chaos/fault_scheduler.h"
@@ -29,6 +31,27 @@
 
 namespace cellfi {
 namespace {
+
+// ctest runs this binary both whole (the chaos label) and test by test,
+// concurrently and in one TempDir, so scratch files live in a per-process
+// directory, removed when the binary's tests finish.
+const std::string& ScratchDir() {
+  static const std::string dir = [] {
+    const std::string d = testing::TempDir() + "chaos_test_" + std::to_string(getpid());
+    std::filesystem::create_directories(d);
+    return d;
+  }();
+  return dir;
+}
+
+class ScratchCleanup : public testing::Environment {
+ public:
+  void TearDown() override { std::filesystem::remove_all(ScratchDir()); }
+};
+testing::Environment* const kScratchCleanup =
+    testing::AddGlobalTestEnvironment(new ScratchCleanup);
+
+std::string TempPath(const std::string& name) { return ScratchDir() + "/" + name; }
 
 using chaos::FaultEvent;
 using chaos::FaultKind;
@@ -86,17 +109,34 @@ TEST(FaultPlanTest, JsonRoundTripPreservesEveryKind) {
 }
 
 TEST(FaultPlanTest, RejectsMalformedPlans) {
-  EXPECT_FALSE(FaultPlan::FromJsonText("not json").has_value());
-  EXPECT_FALSE(FaultPlan::FromJsonText("[1,2,3]").has_value());
-  EXPECT_FALSE(FaultPlan::FromJsonText(
-                   R"({"events":[{"kind":"warp_core_breach","t_us":1}]})")
-                   .has_value());
-  EXPECT_FALSE(FaultPlan::FromJsonText(
-                   R"({"events":[{"kind":"ap_crash","t_us":-5}]})")
-                   .has_value());
-  EXPECT_FALSE(FaultPlan::FromJsonText(
-                   R"({"link":{"drop_probability":1.5},"events":[]})")
-                   .has_value());
+  for (const char* text : {
+           "not json",
+           "[1,2,3]",
+           R"({"events":[{"kind":"warp_core_breach","t_us":1}]})",
+           R"({"events":[{"kind":"ap_crash","t_us":-5}]})",
+           R"({"link":{"drop_probability":1.5},"events":[]})",
+           // Numbers that do not fit their field: once accepted with a
+           // wrapped or truncated value (and float-to-int or signed
+           // overflow on the way).
+           R"({"seed":1e300})",
+           R"({"events":[{"kind":"ap_crash","t_us":9.3e15}]})",
+           R"({"events":[{"kind":"ap_crash","t_us":1.5,"target":3e9}]})",
+           R"({"events":[{"kind":"ap_crash","t_us":1.5}]})",
+           R"({"events":[{"kind":"ap_crash","t_us":1,"target":3e9}]})",
+           R"({"events":[{"kind":"incumbent_arrive","t_us":1,"channel":2.5}]})",
+           R"({"link":{"latency_base_us":1e300}})",
+           R"({"seed":"-1"})",
+           R"({"seed":""})",
+       }) {
+    EXPECT_FALSE(FaultPlan::FromJsonText(text).has_value()) << text;
+  }
+  // The bounds are exact: the largest seed and a time near SimTime's
+  // limit still parse.
+  const auto plan = FaultPlan::FromJsonText(
+      R"({"seed":"18446744073709551615","events":[{"kind":"ap_crash","t_us":9e15}]})");
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->seed, 18446744073709551615ull);
+  EXPECT_EQ(plan->events.at(0).time, 9'000'000'000'000'000 * kMicrosecond);
 }
 
 TEST(FaultPlanTest, TransportSeedsAreStableAndDistinct) {
@@ -354,8 +394,7 @@ TEST(ChaosCampaignTest, ThunderingHerdMeetsVacateDeadlines) {
   cfgs[2].run_until = 700 * kSecond;
 
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    const std::string path = testing::TempDir() + "chaos_herd_trace_" +
-                             std::to_string(i) + ".jsonl";
+    const std::string path = TempPath("herd_trace_" + std::to_string(i) + ".jsonl");
     std::remove(path.c_str());
     {
       obs::TraceSinkConfig sink_cfg;
@@ -422,7 +461,7 @@ TEST(HarnessChaosTest, EnvKnobLoadsPlanFromFile) {
   plan.name = "env-knob";
   plan.events.push_back(
       {.kind = FaultKind::kApCrash, .time = 300 * kMillisecond, .target = 0});
-  const std::string path = testing::TempDir() + "chaos_env_plan.json";
+  const std::string path = TempPath("env_plan.json");
   {
     std::ofstream file(path);
     file << plan.ToJsonText() << "\n";
@@ -541,7 +580,7 @@ TEST(SweepSupervisorTest, FailureRecordLandsInBenchArtifact) {
     return SeedBody(job);
   });
 
-  ASSERT_EQ(setenv("CELLFI_BENCH_OUT", testing::TempDir().c_str(), 1), 0);
+  ASSERT_EQ(setenv("CELLFI_BENCH_OUT", ScratchDir().c_str(), 1), 0);
   scenario::BenchReport report("chaos_supervisor_test", 1, 2);
   report.AddPoint("p0", outcomes, 0);
   const std::string path = report.Write();
@@ -558,7 +597,7 @@ TEST(SweepSupervisorTest, FailureRecordLandsInBenchArtifact) {
   ASSERT_NE(failures, nullptr);
   ASSERT_EQ(failures->as_array().size(), 1u);
   const json::Value& failure = failures->as_array()[0];
-  EXPECT_EQ(failure.Find("rep")->as_int(), 1);
+  EXPECT_EQ(failure.Find("rep")->as_integer<int>(), 1);
   EXPECT_EQ(failure.Find("seed")->as_string(),
             std::to_string(jobs[1].config.seed));
   EXPECT_EQ(failure.Find("error")->as_string(), "exploded at subframe 7");
@@ -567,7 +606,7 @@ TEST(SweepSupervisorTest, FailureRecordLandsInBenchArtifact) {
 
 TEST(SweepSupervisorTest, ResumeRestoresCompletedAndRetriesFailed) {
   const auto jobs = SupervisorJobs(4);
-  const std::string resume = testing::TempDir() + "chaos_sweep_resume.jsonl";
+  const std::string resume = TempPath("sweep_resume.jsonl");
   std::remove(resume.c_str());
 
   // "Interrupted" first run: reps 0 and 1 complete (rep 1 fails hard),
@@ -599,8 +638,40 @@ TEST(SweepSupervisorTest, ResumeRestoresCompletedAndRetriesFailed) {
   }
 }
 
+TEST(SweepSupervisorTest, ResumeSkipsForeignSeedAndFieldlessLines) {
+  // A checkpoint file holding only lines that must not restore anything:
+  // another sweep's result for (0, 0) under a different seed, a line with
+  // no key fields, and a point index that is not an int.
+  const auto jobs = SupervisorJobs(2);
+  const std::string resume = TempPath("foreign_resume.jsonl");
+  {
+    std::ofstream file(resume, std::ios::trunc);
+    file << R"({"point":0,"rep":0,"seed":")" << jobs[0].config.seed + 1
+         << R"(","ok":true,"attempts":1,"sim_s":2})" << "\n";
+    file << R"({"ok":true})" << "\n";
+    file << R"({"point":1e300,"rep":1,"seed":")" << jobs[1].config.seed
+         << R"(","ok":true,"attempts":1,"sim_s":2})" << "\n";
+  }
+  scenario::SweepSupervisor resumed(Opts(1, 1, 0.0, resume));
+  const auto outcomes = resumed.Run(jobs, SeedBody);
+  EXPECT_EQ(resumed.restored(), 0u);
+
+  scenario::SweepSupervisor fresh(Opts(1, 1));
+  const auto expected = fresh.Run(jobs, SeedBody);
+  ASSERT_EQ(outcomes.size(), expected.size());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_FALSE(outcomes[i].restored) << i;
+    EXPECT_EQ(outcomes[i].seed, expected[i].seed) << i;
+    EXPECT_EQ(outcomes[i].result.total_throughput_bps,
+              expected[i].result.total_throughput_bps) << i;
+    EXPECT_EQ(outcomes[i].result.fraction_connected,
+              expected[i].result.fraction_connected) << i;
+  }
+  std::remove(resume.c_str());
+}
+
 TEST(SweepSupervisorTest, ResumePathResolvesFromEnv) {
-  const std::string resume = testing::TempDir() + "chaos_env_resume.jsonl";
+  const std::string resume = TempPath("env_resume.jsonl");
   ASSERT_EQ(setenv("CELLFI_SWEEP_RESUME", resume.c_str(), 1), 0);
   scenario::SweepSupervisor sup;
   unsetenv("CELLFI_SWEEP_RESUME");
@@ -632,10 +703,10 @@ std::string ReadAll(const std::string& path) {
 
 TEST(SweepSupervisorTest, ResumedArtifactByteIdenticalModuloWallClock) {
   const auto jobs = SupervisorJobs(4);
-  ASSERT_EQ(setenv("CELLFI_BENCH_OUT", testing::TempDir().c_str(), 1), 0);
+  ASSERT_EQ(setenv("CELLFI_BENCH_OUT", ScratchDir().c_str(), 1), 0);
 
   // Uninterrupted reference sweep.
-  const std::string resume_a = testing::TempDir() + "chaos_resume_a.jsonl";
+  const std::string resume_a = TempPath("resume_a.jsonl");
   std::remove(resume_a.c_str());
   std::string path_a;
   {
@@ -647,7 +718,7 @@ TEST(SweepSupervisorTest, ResumedArtifactByteIdenticalModuloWallClock) {
   }
 
   // Interrupted after two replications, then resumed over the full grid.
-  const std::string resume_b = testing::TempDir() + "chaos_resume_b.jsonl";
+  const std::string resume_b = TempPath("resume_b.jsonl");
   std::remove(resume_b.c_str());
   {
     scenario::SweepSupervisor sup(Opts(1, 2, 0.0, resume_b));

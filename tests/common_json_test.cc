@@ -103,5 +103,25 @@ TEST(JsonTest, OperatorIndexCreatesObject) {
   EXPECT_EQ(v.Find("missing"), nullptr);
 }
 
+TEST(JsonTest, IntegerReadsAcceptOnlyIntegralValuesInRange) {
+  EXPECT_EQ(Value(42).as_integer<int>(), 42);
+  EXPECT_EQ(Value(-7).as_integer<std::int64_t>(), -7);
+  EXPECT_EQ(Value(9e15).as_integer<std::int64_t>(), std::int64_t{9'000'000'000'000'000});
+  EXPECT_EQ(Value(2147483647.0).as_integer<int>(), 2147483647);
+  EXPECT_FALSE(Value(2147483648.0).as_integer<int>());
+  EXPECT_FALSE(Value(3e9).as_integer<int>());
+  EXPECT_FALSE(Value(1.5).as_integer<int>());
+  EXPECT_FALSE(Value(1e300).as_integer<std::int64_t>());
+  EXPECT_FALSE(Value(9223372036854775808.0).as_integer<std::int64_t>());  // 2^63
+  EXPECT_FALSE(Value(-1).as_integer<std::uint64_t>());
+  EXPECT_FALSE(Value("5").as_integer<int>());
+
+  EXPECT_EQ(Value("18446744073709551615").as_decimal_u64(), 18446744073709551615ull);
+  for (const char* bad : {"", "-1", " 5", "5x", "18446744073709551616"}) {
+    EXPECT_FALSE(Value(bad).as_decimal_u64()) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(Value(5).as_decimal_u64());
+}
+
 }  // namespace
 }  // namespace cellfi::json

@@ -1,10 +1,7 @@
 // The per-subframe interference engine's determinism contract (DESIGN.md
-// §12): with culling off, every path through InterferenceMap must be
-// BIT-identical to the per-link summation of RadioEnvironment::SinrDb —
-// same doubles, not just close — across fading on/off, cell activity
-// toggles and mobility. The
-// negligible-interferer cull is opt-in and bounded: dropping terms >= 30 dB
-// below the noise floor moves any SINR by less than 0.01 dB.
+// §12): every path through InterferenceMap must be BIT-identical to the
+// per-link summation of RadioEnvironment::SinrDb — same doubles, not just
+// close — across fading on/off, cell activity toggles and mobility.
 #include "cellfi/radio/interference.h"
 
 #include <gtest/gtest.h>
@@ -23,12 +20,11 @@
 namespace cellfi {
 namespace {
 
-RadioEnvironmentConfig EnvConfig(bool fading, double floor_db = 0.0) {
+RadioEnvironmentConfig EnvConfig(bool fading) {
   RadioEnvironmentConfig c;
   c.carrier_freq_hz = 600e6;
   c.shadowing_sigma_db = 4.0;
   c.enable_fading = fading;
-  c.interference_floor_db = floor_db;
   c.seed = 21;
   return c;
 }
@@ -79,7 +75,6 @@ TEST_P(InterferenceMapTest, MatchesPerLinkSinrExactly) {
   }
   // All 13 lists are identical -> one aggregation group.
   EXPECT_EQ(imap.num_groups(), 1);
-  EXPECT_EQ(imap.culled_total(), 0u);
 }
 
 TEST_P(InterferenceMapTest, DistinctListsPerSubchannelStayExact) {
@@ -108,50 +103,6 @@ TEST_P(InterferenceMapTest, DistinctListsPerSubchannelStayExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FadingOnOff, InterferenceMapTest, ::testing::Bool());
-
-TEST(InterferenceMapCullTest, DropsBelowFloorInterferersWithinEpsilon) {
-  // Two clusters 50 km apart under log-distance n=3.5: cross-cluster rx
-  // power lands ~50 dB below the subchannel noise floor, in-cluster power
-  // far above it. A 30 dB floor culls exactly the far cluster.
-  LogDistancePathLoss pathloss(3.5);
-  RadioEnvironmentConfig cfg = EnvConfig(/*fading=*/false, /*floor_db=*/30.0);
-  RadioEnvironment env(pathloss, cfg);
-  RadioEnvironmentConfig nocull_cfg = EnvConfig(/*fading=*/false);
-  RadioEnvironment ref_env(pathloss, nocull_cfg);
-
-  std::vector<ActiveTransmitter> all;
-  RadioNodeId rx = 0, tx = 0;
-  for (RadioEnvironment* e : {&env, &ref_env}) {
-    rx = e->AddNode({.position = {0, 0}});
-    tx = e->AddNode({.position = {200, 0}, .tx_power_dbm = 30});
-    all.clear();
-    all.push_back({e->AddNode({.position = {-300, 100}, .tx_power_dbm = 30}), 1.0 / 13.0});
-    all.push_back({e->AddNode({.position = {100, -250}, .tx_power_dbm = 30}), 1.0 / 13.0});
-    for (int i = 0; i < 4; ++i) {  // far cluster: negligible at rx
-      all.push_back({e->AddNode({.position = {50000.0 + 300.0 * i, 50000.0},
-                                 .tx_power_dbm = 30}),
-                     1.0 / 13.0});
-    }
-  }
-
-  InterferenceMap imap(env);
-  imap.BeginEpoch(13, 360e3);
-  for (int s = 0; s < 13; ++s) {
-    for (const ActiveTransmitter& t : all) imap.AddTransmitter(s, t.node, t.power_scale);
-  }
-  const double culled_sinr = imap.SinrDb(tx, rx, 0, 0, 1.0 / 13.0);
-  const double exact_sinr =
-      ref_env.SinrDb(tx, rx, 0, 0, all, 360e3, 1.0 / 13.0);
-  // 4 far interferers culled once (one aggregation group shared by all 13
-  // subchannels).
-  EXPECT_EQ(imap.culled_this_epoch(), 4u);
-  EXPECT_EQ(imap.culled_total(), 4u);
-  // Epsilon contract: each culled term is >= 30 dB below the noise floor,
-  // so the denominator shrinks by < 13 * 10^-3 relative — under 0.01 dB
-  // for any realistic list (documented in DESIGN.md §12).
-  EXPECT_NE(culled_sinr, exact_sinr);  // something was actually dropped
-  EXPECT_NEAR(culled_sinr, exact_sinr, 0.01);
-}
 
 // ---------------------------------------------------------------------------
 // Network-level bit-identity: every MeasureDownlinkSinr value must equal a
@@ -280,7 +231,6 @@ TEST(InterferenceEngineNetworkTest, LockstepBitIdentityAcrossActivityAndMobility
   expect_oracle("after mobility");
   d.sim_.RunUntil(900 * kMillisecond);
   expect_oracle("after mobility + run");
-  EXPECT_EQ(d.net_.interference_culled_total(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -288,11 +238,10 @@ TEST(InterferenceEngineNetworkTest, LockstepBitIdentityAcrossActivityAndMobility
 // topologies, byte-compared with golden reports recorded when the engine
 // still ran next to the per-link path it replaced (and matched it bit for
 // bit) — fading off (the aggregate cache + CellFi masks) and fading on
-// (the per-link fallback), culling off in both.
+// (the per-link fallback).
 // ---------------------------------------------------------------------------
 
-scenario::ScenarioConfig ScenarioFor(scenario::Technology tech, bool fading,
-                                     double floor_db) {
+scenario::ScenarioConfig ScenarioFor(scenario::Technology tech, bool fading) {
   scenario::ScenarioConfig cfg;
   cfg.tech = tech;
   cfg.workload = scenario::WorkloadKind::kBacklogged;
@@ -307,13 +256,12 @@ scenario::ScenarioConfig ScenarioFor(scenario::Technology tech, bool fading,
   cfg.warmup = 1 * kSecond;
   cfg.duration = 3 * kSecond;
   cfg.enable_fading = fading;
-  cfg.interference_floor_db = floor_db;
   cfg.seed = 41;
   return cfg;
 }
 
 TEST(InterferenceEngineScenarioTest, MatchesGoldenCellFiNoFading) {
-  const auto cfg = ScenarioFor(scenario::Technology::kCellFi, false, 0.0);
+  const auto cfg = ScenarioFor(scenario::Technology::kCellFi, false);
   const auto result = scenario::RunScenario(cfg);
   EXPECT_GT(result.total_throughput_bps, 0.0);
   ExpectMatchesGolden("scenario_cellfi_nofading.json",
@@ -321,7 +269,7 @@ TEST(InterferenceEngineScenarioTest, MatchesGoldenCellFiNoFading) {
 }
 
 TEST(InterferenceEngineScenarioTest, MatchesGoldenLteWithFading) {
-  const auto cfg = ScenarioFor(scenario::Technology::kLte, true, 0.0);
+  const auto cfg = ScenarioFor(scenario::Technology::kLte, true);
   const auto result = scenario::RunScenario(cfg);
   EXPECT_GT(result.total_throughput_bps, 0.0);
   ExpectMatchesGolden("scenario_lte_fading.json",
@@ -336,22 +284,23 @@ TEST(InterferenceEngineConfigTest, DisablingTheEngineThrows) {
   net_cfg.use_interference_engine = false;
   EXPECT_THROW(lte::LteNetwork(sim, env, net_cfg), std::invalid_argument);
 
-  auto cfg = ScenarioFor(scenario::Technology::kLte, false, 0.0);
+  auto cfg = ScenarioFor(scenario::Technology::kLte, false);
   cfg.use_interference_engine = false;
   EXPECT_THROW(scenario::RunScenario(cfg), std::invalid_argument);
-}
 
-TEST(InterferenceEngineScenarioTest, CullingStaysWithinTolerance) {
-  // A 30 dB below-noise floor perturbs each SINR by < 0.01 dB; end-to-end
-  // summaries must stay within a small relative band of the exact run
-  // (CQI quantization usually absorbs the perturbation entirely).
-  const auto exact = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kLte, false, 0.0));
-  const auto culled = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kLte, false, 30.0));
-  EXPECT_GT(exact.total_throughput_bps, 0.0);
-  EXPECT_NEAR(culled.total_throughput_bps / exact.total_throughput_bps, 1.0, 0.02);
-  EXPECT_NEAR(culled.fraction_connected, exact.fraction_connected, 0.11);
+  // The retired interference cull: a positive floor is rejected where the
+  // environment is built, both directly and through RunScenario; <= 0
+  // always meant "cull off" and is still accepted.
+  RadioEnvironmentConfig cull_cfg = EnvConfig(/*fading=*/false);
+  cull_cfg.interference_floor_db = 30.0;
+  EXPECT_THROW(RadioEnvironment(pathloss, cull_cfg), std::invalid_argument);
+  auto cull_scenario = ScenarioFor(scenario::Technology::kLte, false);
+  cull_scenario.interference_floor_db = 30.0;
+  EXPECT_THROW(scenario::RunScenario(cull_scenario), std::invalid_argument);
+  for (const double floor_db : {0.0, -1.0}) {
+    cull_cfg.interference_floor_db = floor_db;
+    EXPECT_NO_THROW(RadioEnvironment(pathloss, cull_cfg)) << floor_db;
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "cellfi/obs/metrics.h"
 #include "cellfi/obs/trace.h"
@@ -77,7 +78,10 @@ TEST(TraceSinkTest, EventsFilterByComponentAndEvent) {
 }
 
 TEST(TraceSinkTest, JsonlFileMatchesToJsonl) {
-  const std::string path = testing::TempDir() + "/obs_trace_test_out.jsonl";
+  // Per process: ctest may run this test alone and inside the whole-binary
+  // trace suite at the same time.
+  const std::string path =
+      testing::TempDir() + "/obs_trace_test_out_" + std::to_string(getpid()) + ".jsonl";
   {
     TraceSinkConfig cfg;
     cfg.jsonl_path = path;
@@ -195,8 +199,8 @@ TEST(MetricsRegistryTest, SnapshotSerializesInRegistrationOrder) {
   EXPECT_EQ(hists[0].Find("name")->as_string(), "h");
   const auto& counts = hists[0].Find("counts")->as_array();
   ASSERT_EQ(counts.size(), 3u);
-  EXPECT_EQ(counts[1].as_int(), 1);
-  EXPECT_EQ(hists[0].Find("count")->as_int(), 1);
+  EXPECT_EQ(counts[1].as_integer<int>(), 1);
+  EXPECT_EQ(hists[0].Find("count")->as_integer<int>(), 1);
 }
 
 // ---------------------------------------------------------------------------

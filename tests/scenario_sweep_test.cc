@@ -216,7 +216,7 @@ TEST(BenchReportTest, WritesValidArtifact) {
   ASSERT_TRUE(parsed.has_value());
   json::Value doc = *parsed;
   EXPECT_EQ(doc["bench"].as_string(), "sweep_test");
-  EXPECT_EQ(doc["threads"].as_int(), 2);
+  EXPECT_EQ(doc["threads"].as_integer<int>(), 2);
   ASSERT_EQ(doc["points"].as_array().size(), 1u);
   json::Value p0 = doc["points"].as_array()[0];
   EXPECT_EQ(p0["label"].as_string(), "p0");
@@ -264,7 +264,7 @@ TEST(FailureRecordTest, LabelIdentifiesTheFailingScenario) {
   json::Value p0 = doc["points"].as_array()[0];
   ASSERT_EQ(p0["failures"].as_array().size(), 1u);
   json::Value failure = p0["failures"].as_array()[0];
-  EXPECT_EQ(failure["rep"].as_int(), 2);
+  EXPECT_EQ(failure["rep"].as_integer<int>(), 2);
   EXPECT_EQ(failure["label"].as_string(), "scenario-2");
   EXPECT_EQ(failure["error"].as_string(), "died mid-epoch");
 

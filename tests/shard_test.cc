@@ -1,6 +1,6 @@
 // The intra-replication shard layer (DESIGN.md §15): the WorkerPool and
-// nested-parallelism guard, the NeighborGraph soundness bound, the
-// ShardGrid partition, and — the contract everything else exists to keep —
+// nested-parallelism guard, the ShardGrid partition, the InterferenceMap
+// epoch-freeze check, and — the contract everything else exists to keep —
 // scenario-level bit-identity across shard counts: sharding may only
 // change wall clock, never a single result byte.
 #include "cellfi/radio/shard_grid.h"
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <vector>
@@ -134,105 +133,6 @@ TEST(ShardThreadsTest, DerivedDefaultRespectsActiveSweepThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// NeighborGraph
-// ---------------------------------------------------------------------------
-
-struct GraphWorld {
-  GraphWorld() : pathloss(3.5), env(pathloss, Config()) {
-    Rng rng(23);
-    // Two clusters 40 km apart: plenty of in-cluster neighbors, and
-    // cross-cluster pairs far below any reasonable floor.
-    for (int i = 0; i < 8; ++i) {
-      nodes.push_back(env.AddNode({.position = {rng.Uniform(-1000, 1000),
-                                                rng.Uniform(-1000, 1000)},
-                                   .tx_power_dbm = 30}));
-    }
-    for (int i = 0; i < 8; ++i) {
-      nodes.push_back(env.AddNode({.position = {40000.0 + rng.Uniform(-1000, 1000),
-                                                rng.Uniform(-1000, 1000)},
-                                   .tx_power_dbm = 30}));
-    }
-  }
-  static RadioEnvironmentConfig Config() {
-    RadioEnvironmentConfig c;
-    c.carrier_freq_hz = 600e6;
-    c.shadowing_sigma_db = 4.0;
-    c.enable_fading = false;
-    c.seed = 9;
-    return c;
-  }
-  LogDistancePathLoss pathloss;
-  RadioEnvironment env;
-  std::vector<RadioNodeId> nodes;
-};
-
-constexpr double kFloorDb = 30.0;
-constexpr double kBandwidthHz = 360e3;
-
-TEST(NeighborGraphTest, SymmetricAndSelfFree) {
-  GraphWorld w;
-  NeighborGraph g;
-  g.Build(w.env, kFloorDb, kBandwidthHz);
-  ASSERT_TRUE(g.built());
-  EXPECT_EQ(g.node_count(), w.env.node_count());
-  EXPECT_EQ(g.build_position_epoch(), w.env.position_epoch());
-  for (RadioNodeId a : w.nodes) {
-    EXPECT_FALSE(g.Contains(a, a));
-    for (RadioNodeId b : w.nodes) {
-      EXPECT_EQ(g.Contains(a, b), g.Contains(b, a)) << a << "," << b;
-    }
-  }
-  // In-cluster pairs connected, cross-cluster pairs culled.
-  EXPECT_TRUE(g.Contains(w.nodes[0], w.nodes[1]));
-  EXPECT_FALSE(g.Contains(w.nodes[0], w.nodes[8]));
-  EXPECT_GT(g.edge_count(), 0u);
-}
-
-TEST(NeighborGraphTest, NoFalseNegativesAgainstDenseCullReference) {
-  // Soundness bound: a non-neighbor pair must fail the InterferenceMap
-  // cull survivor condition in BOTH directions at power_scale = 1 (the
-  // strongest any transmission can radiate). A neighbor must pass it in at
-  // least one direction. This is the exact dense O(n^2) predicate the
-  // graph exists to precompute.
-  GraphWorld w;
-  NeighborGraph g;
-  g.Build(w.env, kFloorDb, kBandwidthHz);
-  const double scale = std::pow(10.0, -kFloorDb / 10.0);
-  for (RadioNodeId a : w.nodes) {
-    for (RadioNodeId b : w.nodes) {
-      if (a == b) continue;
-      const bool survives_at_b =
-          w.env.MeanRxPowerMw(a, b) >= w.env.NoiseMw(b, kBandwidthHz) * scale;
-      const bool survives_at_a =
-          w.env.MeanRxPowerMw(b, a) >= w.env.NoiseMw(a, kBandwidthHz) * scale;
-      EXPECT_EQ(g.Contains(a, b), survives_at_b || survives_at_a)
-          << "pair " << a << "," << b;
-    }
-  }
-}
-
-TEST(NeighborGraphTest, DeterministicBuildAndSortedLists) {
-  GraphWorld w;
-  NeighborGraph g1, g2;
-  g1.Build(w.env, kFloorDb, kBandwidthHz);
-  g2.Build(w.env, kFloorDb, kBandwidthHz);
-  EXPECT_EQ(g1.edge_count(), g2.edge_count());
-  for (RadioNodeId n : w.nodes) {
-    const auto& l1 = g1.neighbors(n);
-    EXPECT_EQ(l1, g2.neighbors(n));
-    for (std::size_t i = 1; i < l1.size(); ++i) EXPECT_LT(l1[i - 1], l1[i]);
-  }
-}
-
-TEST(NeighborGraphTest, NonPositiveFloorConnectsEverything) {
-  GraphWorld w;
-  NeighborGraph g;
-  g.Build(w.env, 0.0, kBandwidthHz);
-  const std::size_t n = w.nodes.size();
-  EXPECT_EQ(g.edge_count(), n * (n - 1) / 2);
-}
-
-// ---------------------------------------------------------------------------
 // ShardGrid
 // ---------------------------------------------------------------------------
 
@@ -277,27 +177,36 @@ TEST(ShardGridTest, ClampsShardCountToCells) {
   EXPECT_EQ(one.cells(0).size(), 3u);
 }
 
-TEST(ShardGridTest, CrossShardEdgesCountsOnlyCellPairsAcrossShards) {
-  GraphWorld w;  // 16 nodes, two clusters
-  NeighborGraph g;
-  g.Build(w.env, kFloorDb, kBandwidthHz);
-  std::vector<Point> pos;
-  for (RadioNodeId n : w.nodes) pos.push_back(w.env.node(n).position);
-  // One shard: nothing crosses.
-  EXPECT_EQ(CountCrossShardEdges(g, ShardGrid(pos, 1), w.nodes), 0u);
-  // Two shards over two far-apart clusters: the spatial sort puts each
-  // cluster in its own shard and no neighbor edge crosses them.
-  EXPECT_EQ(CountCrossShardEdges(g, ShardGrid(pos, 2), w.nodes), 0u);
-  // Four shards split each cluster in half: now in-cluster edges cross.
-  EXPECT_GT(CountCrossShardEdges(g, ShardGrid(pos, 4), w.nodes), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // InterferenceMap epoch-freeze contract (release-build check)
 // ---------------------------------------------------------------------------
 
+struct SealWorld {
+  SealWorld() : pathloss(3.5), env(pathloss, Config()) {
+    Rng rng(23);
+    for (int i = 0; i < 4; ++i) {
+      nodes.push_back(env.AddNode({.position = {rng.Uniform(-1000, 1000),
+                                                rng.Uniform(-1000, 1000)},
+                                   .tx_power_dbm = 30}));
+    }
+  }
+  static RadioEnvironmentConfig Config() {
+    RadioEnvironmentConfig c;
+    c.carrier_freq_hz = 600e6;
+    c.shadowing_sigma_db = 4.0;
+    c.enable_fading = false;
+    c.seed = 9;
+    return c;
+  }
+  LogDistancePathLoss pathloss;
+  RadioEnvironment env;
+  std::vector<RadioNodeId> nodes;
+};
+
+constexpr double kBandwidthHz = 360e3;
+
 TEST(InterferenceMapSealTest, AddTransmitterAfterSealThrows) {
-  GraphWorld w;
+  SealWorld w;
   InterferenceMap imap(w.env);
   imap.BeginEpoch(13, kBandwidthHz);
   imap.AddTransmitter(0, w.nodes[0], 1.0);
@@ -309,7 +218,7 @@ TEST(InterferenceMapSealTest, AddTransmitterAfterSealThrows) {
 }
 
 TEST(InterferenceMapSealTest, FirstQuerySealsImplicitly) {
-  GraphWorld w;
+  SealWorld w;
   InterferenceMap imap(w.env);
   imap.BeginEpoch(13, kBandwidthHz);
   imap.AddTransmitter(0, w.nodes[0], 1.0);
@@ -322,7 +231,7 @@ TEST(InterferenceMapSealTest, FirstQuerySealsImplicitly) {
 // ---------------------------------------------------------------------------
 
 scenario::ScenarioConfig ShardScenario(scenario::Technology tech, bool fading,
-                                       double floor_db, int shards) {
+                                       int shards) {
   scenario::ScenarioConfig cfg;
   cfg.tech = tech;
   cfg.workload = scenario::WorkloadKind::kBacklogged;
@@ -337,7 +246,6 @@ scenario::ScenarioConfig ShardScenario(scenario::Technology tech, bool fading,
   cfg.warmup = 1 * kSecond;
   cfg.duration = 3 * kSecond;
   cfg.enable_fading = fading;
-  cfg.interference_floor_db = floor_db;
   cfg.shards = shards;
   // Pin 4 worker threads so the sharded variants exercise REAL
   // multi-threading (and race under TSan if anything is wrong) even on
@@ -363,11 +271,11 @@ void ExpectBitIdentical(const scenario::ScenarioResult& a,
 
 TEST(ShardBitIdentityTest, AnyShardCountMatchesUnshardedNoFading) {
   const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, false, 0.0, 1));
+      ShardScenario(scenario::Technology::kLte, false, 1));
   EXPECT_GT(ref.total_throughput_bps, 0.0);
   for (int shards : {2, 4, 8}) {
     const auto sharded = scenario::RunScenario(
-        ShardScenario(scenario::Technology::kLte, false, 0.0, shards));
+        ShardScenario(scenario::Technology::kLte, false, shards));
     ExpectBitIdentical(ref, sharded,
                        ("shards=" + std::to_string(shards)).c_str());
   }
@@ -378,7 +286,7 @@ TEST(ShardBitIdentityTest, ShardedMatchesGolden) {
   // the report recorded when the unsharded engine ran next to the per-link
   // path it replaced and matched it bit for bit.
   const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, false, 0.0, 4));
+      ShardScenario(scenario::Technology::kLte, false, 4));
   ExpectMatchesGolden("scenario_lte_shards4.json",
                       scenario::ResultToJson(sharded).Dump());
 }
@@ -387,38 +295,27 @@ TEST(ShardBitIdentityTest, FadingPathStaysBitIdentical) {
   // Fading falls back to per-link SINR inside the engine; the staged
   // parallel queries must still commit in the identical order.
   const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, true, 0.0, 1));
+      ShardScenario(scenario::Technology::kLte, true, 1));
   const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, true, 0.0, 4));
+      ShardScenario(scenario::Technology::kLte, true, 4));
   ExpectBitIdentical(ref, sharded, "fading shards=4");
-}
-
-TEST(ShardBitIdentityTest, CullFastPathStaysBitIdenticalAcrossShards) {
-  // With the 30 dB floor the NeighborGraph fast path is active; sharding
-  // must not change which interferers are culled (counters are summed
-  // order-independently, results merged in cell order).
-  const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, false, 30.0, 1));
-  const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, false, 30.0, 4));
-  ExpectBitIdentical(ref, sharded, "cull30 shards=4");
 }
 
 TEST(ShardBitIdentityTest, LbtSerialGateUnaffectedByShards) {
   // LAA/LBT draws its carrier-sense gate from the shared RNG; the serial
   // phase-1a gate loop must keep the draw sequence identical for any K.
   const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLaaLte, false, 0.0, 1));
+      ShardScenario(scenario::Technology::kLaaLte, false, 1));
   const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLaaLte, false, 0.0, 4));
+      ShardScenario(scenario::Technology::kLaaLte, false, 4));
   ExpectBitIdentical(ref, sharded, "laa shards=4");
 }
 
 TEST(ShardBitIdentityTest, CellFiControllerStackUnaffectedByShards) {
   const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kCellFi, false, 0.0, 1));
+      ShardScenario(scenario::Technology::kCellFi, false, 1));
   const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kCellFi, false, 0.0, 4));
+      ShardScenario(scenario::Technology::kCellFi, false, 4));
   ExpectBitIdentical(ref, sharded, "cellfi shards=4");
 }
 
@@ -427,7 +324,7 @@ TEST(ShardBitIdentityTest, AggregateLoadTierUnaffectedByShards) {
   // and runs serially on the event loop: its PRB reservations and PRACH
   // injections must be invisible to the shard partition.
   auto with_agg = [](int shards) {
-    auto cfg = ShardScenario(scenario::Technology::kCellFi, false, 0.0, shards);
+    auto cfg = ShardScenario(scenario::Technology::kCellFi, false, shards);
     cfg.aggregate_load.users_per_cell = 300;
     cfg.aggregate_load.activity_jitter = 0.2;
     cfg.aggregate_load.flash_rate_per_s = 0.05;

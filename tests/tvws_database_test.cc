@@ -138,6 +138,19 @@ TEST(PawsTest, AvailSpectrumRoundTrip) {
   }
 }
 
+TEST(PawsTest, AvailSpectrumRejectsOutOfRangeLeaseTime) {
+  SpectrumDatabase db;
+  PawsServer server(db);
+  PawsClient client({.serial_number = "ap-1"}, Regulatory::kUs);
+  server.Handle(client.BuildInitRequest(kHere), 0);
+  auto v = json::Parse(server.Handle(client.BuildAvailSpectrumRequest(kHere, true), 0));
+  ASSERT_TRUE(v.has_value());
+  ASSERT_TRUE(client.ParseAvailSpectrumResponse(v->Dump()).has_value());
+  // 1e300 ns fits no SimTime: the response is rejected, not wrapped.
+  (*v)["result"]["spectrumSchedules"].as_array().at(0)["eventTime"]["startTimeNs"] = 1e300;
+  EXPECT_FALSE(client.ParseAvailSpectrumResponse(v->Dump()).has_value());
+}
+
 TEST(PawsTest, SlaveRequestGetsClientPowerCap) {
   SpectrumDatabase db;
   PawsServer server(db);
@@ -174,7 +187,7 @@ TEST(PawsTest, SpectrumQueryRequiresInit) {
   ASSERT_TRUE(v.has_value());
   const auto* err = v->Find("error");
   ASSERT_NE(err, nullptr);
-  EXPECT_EQ(err->Find("code")->as_int(), -201);
+  EXPECT_EQ(err->Find("code")->as_integer<int>(), -201);
   EXPECT_FALSE(server.IsRegistered("rogue-ap"));
   // After INIT the same query succeeds.
   server.Handle(client.BuildInitRequest(kHere), 0);

@@ -25,6 +25,16 @@ import math
 import sys
 
 
+def malformed(path, why):
+    print(f"bench_compare: malformed {path}: {why}", file=sys.stderr)
+    sys.exit(2)
+
+
+def is_number(x):
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 def load_points(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -32,8 +42,22 @@ def load_points(path):
     except (OSError, ValueError) as e:
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
+    if not isinstance(doc, dict):
+        malformed(path, "top level is not an object")
+    raw = doc.get("points", [])
+    if not isinstance(raw, list):
+        malformed(path, "'points' is not an array")
     points = {}
-    for p in doc.get("points", []):
+    for i, p in enumerate(raw):
+        if not isinstance(p, dict):
+            malformed(path, f"point {i} is not an object")
+        if not isinstance(p.get("label"), str):
+            malformed(path, f"point {i} has no string 'label'")
+        if not is_number(p.get("wall_s")) or p["wall_s"] < 0:
+            malformed(path, f"point {p['label']!r} has no non-negative "
+                            f"numeric 'wall_s'")
+        if not is_number(p.get("reps", 1)):
+            malformed(path, f"point {p['label']!r} has a non-numeric 'reps'")
         reps = max(int(p.get("reps", 1)), 1)
         points[p["label"]] = float(p["wall_s"]) / reps
     return doc.get("bench", "?"), points

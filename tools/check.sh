@@ -21,8 +21,8 @@
 #            per-point wall-time regression fails the gate, while brand-new
 #            labels are reported but pass (--allow-new-labels).
 #   --shard  additionally build the sanitize-tsan preset and run the shard
-#            suite (`ctest -L shard`: worker pool, neighbor graph, shard
-#            grid, multi-threaded subframe bit-identity) under
+#            suite (`ctest -L shard`: worker pool, shard grid,
+#            multi-threaded subframe bit-identity) under
 #            ThreadSanitizer — the data-race gate for DESIGN.md §15.
 #   --simd   additionally build the simd-off preset (CELLFI_SIMD=OFF,
 #            scalar reference kernels) and run the SIMD parity suite
