@@ -303,10 +303,12 @@ struct EngineBenchWorld {
     cfg.enable_fading = fading;
     return cfg;
   }
-  void Populate() {
+  /// One epoch's lists; `first_scale` is the first cell's power scale.
+  void Populate(double first_scale = 1.0 / 13.0) {
     imap.BeginEpoch(13, 360e3);
     for (RadioNodeId c : cells) {
-      for (int s = 0; s < 13; ++s) imap.AddTransmitter(s, c, 1.0 / 13.0);
+      const double scale = c == cells.front() ? first_scale : 1.0 / 13.0;
+      for (int s = 0; s < 13; ++s) imap.AddTransmitter(s, c, scale);
     }
   }
   static HataUrbanPathLoss pathloss;
@@ -342,6 +344,39 @@ void BM_InterferenceMapSinrLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InterferenceMapSinrLookup)->Arg(4)->Arg(16)->Arg(64);
+
+// One subframe of a UE's CQI measurement: rebuild the lists, seal, and
+// query all 13 subchannels. Every iteration repeats the same lists, so the
+// epoch and the receiver's SINR row survive: no aggregation, no log10.
+void BM_InterferenceMapRepeatEpoch(benchmark::State& state) {
+  EngineBenchWorld w(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    w.Populate();
+    w.imap.Seal();
+    for (int s = 0; s < 13; ++s) {
+      benchmark::DoNotOptimize(w.imap.SinrDb(w.tx, w.rx, s, 0, 1.0 / 13.0));
+    }
+  }
+}
+BENCHMARK(BM_InterferenceMapRepeatEpoch)->Arg(4)->Arg(16)->Arg(64);
+
+// Counterpart of BM_InterferenceMapRepeatEpoch: the first cell's power
+// scale toggles every iteration (on all 13 lists, which stay one group),
+// so Seal advances the epoch and the row is rebuilt — one aggregation and
+// one log10. The gap between the two is what row reuse saves.
+void BM_InterferenceMapChangedEpoch(benchmark::State& state) {
+  EngineBenchWorld w(static_cast<int>(state.range(0)));
+  bool toggle = false;
+  for (auto _ : state) {
+    toggle = !toggle;
+    w.Populate(toggle ? 1.0 / 26.0 : 1.0 / 13.0);
+    w.imap.Seal();
+    for (int s = 0; s < 13; ++s) {
+      benchmark::DoNotOptimize(w.imap.SinrDb(w.tx, w.rx, s, 0, 1.0 / 13.0));
+    }
+  }
+}
+BENCHMARK(BM_InterferenceMapChangedEpoch)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_SinrPerLinkLegacy(benchmark::State& state) {
   // What the engine replaces: rebuild the interferer vector and pay the

@@ -19,7 +19,7 @@ constexpr double kPrachBandwidthHz = 839 * 1250.0;
 }  // namespace
 
 LteNetwork::LteNetwork(Simulator& sim, RadioEnvironment& env, LteNetworkConfig config)
-    : sim_(sim), env_(env), config_(config), rng_(config.seed), imap_(env) {
+    : sim_(sim), env_(env), config_(config), rng_(config.seed), imap_(env), ul_imap_(env) {
   if (!config_.use_interference_engine) {
     throw std::invalid_argument(
         "LteNetworkConfig::use_interference_engine = false is no longer supported: "
@@ -674,15 +674,15 @@ void LteNetwork::RunUplinkSubframe() {
   // cells -> transmissions -> subchannels, never shard completion order —
   // then seal before the first concurrent query. The transmitting UE is
   // excluded per query by radio node (one radio per UE).
-  imap_.BeginEpoch(num_subchannels_, subchannel_bandwidth_hz_);
+  ul_imap_.BeginEpoch(num_subchannels_, subchannel_bandwidth_hz_);
   for (const CellRec& rec : cells_) {
     for (const Transmission& tx : rec.current_plan.transmissions) {
       const UeInfo& info = ues_[static_cast<std::size_t>(tx.ue)];
       const double ul_scale = 1.0 / static_cast<double>(tx.subchannels.size());
-      for (int s : tx.subchannels) imap_.AddTransmitter(s, info.radio, ul_scale);
+      for (int s : tx.subchannels) ul_imap_.AddTransmitter(s, info.radio, ul_scale);
     }
   }
-  imap_.Seal();
+  ul_imap_.Seal();
 
   // Phase 2 (parallel): stage each transmission's tb SINR. The receiver
   // of uplink is the cell's own radio, owned by its shard.
@@ -699,7 +699,7 @@ void LteNetwork::RunUplinkSubframe() {
         double sinr_linear_sum = 0.0;
         for (int sub : tx.subchannels) {
           sinr_linear_sum += DbToLinear(
-              imap_.SinrDb(info.radio, rec.radio, sub, sim_.Now(), signal_scale));
+              ul_imap_.SinrDb(info.radio, rec.radio, sub, sim_.Now(), signal_scale));
         }
         staged.push_back(
             LinearToDb(sinr_linear_sum / static_cast<double>(tx.subchannels.size())));
@@ -718,9 +718,9 @@ void LteNetwork::RunUplinkSubframe() {
   }
   EmitShardMetrics();
 
-  // The engine now holds uplink lists and the cells' plans were
-  // overwritten with UL grants: any later MeasureDownlinkSinr must
-  // rebuild.
+  // The cells' plans were overwritten with UL grants, so the downlink map
+  // no longer matches them: any later MeasureDownlinkSinr must rebuild
+  // from the plans, as it would after SetCellActive.
   dl_map_valid_ = false;
 }
 

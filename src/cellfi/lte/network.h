@@ -273,9 +273,13 @@ class LteNetwork {
   bool started_ = false;
 
   /// Per-epoch interference engine state (mutable: MeasureDownlinkSinr is
-  /// const but may need to lazily rebuild the map and its caches).
+  /// const but may need to lazily rebuild the map and its caches). Downlink
+  /// and uplink keep separate maps, so each epoch is compared with the
+  /// previous one of its own direction and its receiver rows survive the
+  /// subframes of the other direction in between.
   mutable InterferenceMap imap_;
   mutable bool dl_map_valid_ = false;
+  InterferenceMap ul_imap_;
   /// Bumped by SetCellActive; versions the CRS-penalty cache.
   std::uint64_t activity_epoch_ = 1;
   struct CrsCacheEntry {

@@ -1,6 +1,8 @@
 #include "cellfi/radio/interference.h"
 
 #include <cassert>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "cellfi/common/simd.h"
@@ -24,7 +26,9 @@ bool SameList(const std::vector<ActiveTransmitter>& a,
 InterferenceMap::InterferenceMap(const RadioEnvironment& env) : env_(env) {}
 
 void InterferenceMap::BeginEpoch(int num_subchannels, double bandwidth_hz) {
-  ++epoch_;
+  // Keep the sealed lists for Seal's comparison. An epoch begun and never
+  // sealed leaves prev_ alone: it still holds the lists epoch_ describes.
+  if (sealed_) per_subchannel_.swap(prev_);
   num_subchannels_ = num_subchannels;
   bandwidth_hz_ = bandwidth_hz;
   if (per_subchannel_.size() < static_cast<std::size_t>(num_subchannels)) {
@@ -34,7 +38,6 @@ void InterferenceMap::BeginEpoch(int num_subchannels, double bandwidth_hz) {
     per_subchannel_[static_cast<std::size_t>(s)].clear();
   }
   sealed_ = false;
-  num_groups_ = 0;
 }
 
 void InterferenceMap::AddTransmitter(int subchannel, RadioNodeId node,
@@ -57,6 +60,24 @@ void InterferenceMap::AddTransmitter(int subchannel, RadioNodeId node,
 void InterferenceMap::Seal() const {
   if (sealed_) return;
   sealed_ = true;
+  // Presize the receiver rows here, at the (serial) barrier, so concurrent
+  // queries never see a resize — each worker then only writes the rows of
+  // receivers it owns.
+  if (rows_.size() < env_.node_count()) rows_.resize(env_.node_count());
+  if (epoch_ != 0 && num_subchannels_ == epoch_num_subchannels_ &&
+      bandwidth_hz_ == epoch_bandwidth_hz_) {
+    bool same = true;
+    for (int s = 0; s < num_subchannels_ && same; ++s) {
+      same = SameList(per_subchannel_[static_cast<std::size_t>(s)],
+                      prev_[static_cast<std::size_t>(s)]);
+    }
+    // Same content, same epoch: the groups and every receiver row still
+    // describe these lists exactly.
+    if (same) return;
+  }
+  ++epoch_;
+  epoch_num_subchannels_ = num_subchannels_;
+  epoch_bandwidth_hz_ = bandwidth_hz_;
   group_of_.assign(static_cast<std::size_t>(num_subchannels_), 0);
   group_rep_.clear();
   num_groups_ = 0;
@@ -94,10 +115,6 @@ void InterferenceMap::Seal() const {
       gt.scale.push_back(it.power_scale);
     }
   }
-  // Presize the receiver rows here, at the (serial) barrier, so concurrent
-  // queries never see a resize — each worker then only writes the rows of
-  // receivers it owns.
-  if (rows_.size() < env_.node_count()) rows_.resize(env_.node_count());
 }
 
 double InterferenceMap::AggregateDenomMw(RadioNodeId tx, RadioNodeId rx,
@@ -140,22 +157,24 @@ double InterferenceMap::SinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
 
   if (rows_.size() < env_.node_count()) rows_.resize(env_.node_count());
   ReceiverRow& row = rows_[rx];
-  if (row.epoch != epoch_ || row.excluded != tx ||
+  if (row.epoch != epoch_ || row.excluded != tx || row.signal_scale != signal_scale ||
       row.position_epoch != env_.position_epoch()) {
     row.epoch = epoch_;
     row.excluded = tx;
+    row.signal_scale = signal_scale;
     row.position_epoch = env_.position_epoch();
-    row.denom_mw.assign(static_cast<std::size_t>(num_groups_), 0.0);
-    row.built.assign(static_cast<std::size_t>(num_groups_), 0);
+    row.sinr_db.assign(static_cast<std::size_t>(num_groups_),
+                       std::numeric_limits<double>::quiet_NaN());
   }
   const std::size_t g =
       static_cast<std::size_t>(group_of_[static_cast<std::size_t>(subchannel)]);
-  if (!row.built[g]) {
-    row.denom_mw[g] = AggregateDenomMw(tx, rx, static_cast<int>(g), row.terms);
-    row.built[g] = 1;
+  double& sinr_db = row.sinr_db[g];
+  if (std::isnan(sinr_db)) {
+    const double denom_mw = AggregateDenomMw(tx, rx, static_cast<int>(g), row.terms);
+    const double signal_mw = env_.MeanRxPowerMw(tx, rx) * signal_scale;
+    sinr_db = LinearToDb(signal_mw / denom_mw);
   }
-  const double signal_mw = env_.MeanRxPowerMw(tx, rx) * signal_scale;
-  return LinearToDb(signal_mw / row.denom_mw[g]);
+  return sinr_db;
 }
 
 }  // namespace cellfi

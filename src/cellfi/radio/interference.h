@@ -1,15 +1,20 @@
 // Per-epoch interference engine (DESIGN.md §12).
 //
-// One map is (re)built once per decision epoch — an LTE subframe, after
-// every transmitter has committed its plan — and then answers every SINR
-// query of that epoch from shared precomputed state instead of rebuilding a
-// per-link interferer vector for each (receiver, subchannel):
+// One map answers every SINR query of a decision epoch — an LTE subframe,
+// after every transmitter has committed its plan — from shared precomputed
+// state instead of rebuilding a per-link interferer vector for each
+// (receiver, subchannel):
 //
 //   * a per-subchannel list of active transmitters, appended in the
 //     caller's (deterministic) iteration order and shared by all receivers;
-//   * with fading disabled, a per-receiver aggregate denominator (noise +
-//     mean interference power, mW) per distinct transmitter list, cached in
-//     a lazily built receiver row.
+//   * with fading disabled, a per-receiver row holding the final SINR (dB)
+//     per distinct transmitter list, filled lazily on first query.
+//
+// An epoch is content-versioned: it names a set of transmitter lists (plus
+// subchannel count and bandwidth), not a call to BeginEpoch. Seal compares
+// the new lists with the previous sealed ones and keeps the epoch when they
+// are equal, so receiver rows survive every subframe whose lists repeat —
+// in a backlogged deployment, nearly all of them.
 //
 // Every appended transmitter's term counts, however weak (DESIGN.md §12).
 //
@@ -23,7 +28,9 @@
 // lanes) — the same floating-point addition sequence, hence identical
 // values, in scalar and SIMD builds alike. Subchannels whose transmitter
 // lists compare equal share one aggregation (identical addition sequence,
-// hence identical value).
+// hence identical value). A cached SINR is a pure function of its row key
+// (epoch, excluded transmitter, signal scale, mobility stamp) and group,
+// so reusing it across epochs returns the same bits a rebuild would.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +46,11 @@ class InterferenceMap {
   /// `env` must outlive the map.
   explicit InterferenceMap(const RadioEnvironment& env);
 
-  /// Start a new epoch: clears the transmitter lists and invalidates every
-  /// receiver row. `bandwidth_hz` is the per-subchannel bandwidth used for
-  /// the noise floor of every aggregate.
+  /// Start collecting a new epoch's transmitter lists. The last sealed
+  /// lists are kept (swapped, not copied) for Seal to compare against; the
+  /// receiver rows stay until Seal finds the lists changed. `bandwidth_hz`
+  /// is the per-subchannel bandwidth used for the noise floor of every
+  /// aggregate.
   void BeginEpoch(int num_subchannels, double bandwidth_hz);
 
   /// Append an active transmitter on `subchannel`. Call order defines the
@@ -59,18 +68,22 @@ class InterferenceMap {
   void AddTransmitter(int subchannel, RadioNodeId node, double power_scale);
 
   /// Deduplicate per-subchannel lists into aggregation groups and presize
-  /// the receiver rows. Idempotent within an epoch. Serial callers may let
-  /// the first SinrDb of the epoch invoke it lazily; sharded callers MUST
-  /// call it at the barrier, before the first concurrent query, so no
+  /// the receiver rows. When the lists, subchannel count and bandwidth
+  /// equal the previous sealed epoch's exactly, the epoch number, groups
+  /// and every receiver row are kept; otherwise the epoch advances, which
+  /// invalidates every row. Idempotent within an epoch. Serial callers may
+  /// let the first SinrDb of the epoch invoke it lazily; sharded callers
+  /// MUST call it at the barrier, before the first concurrent query, so no
   /// worker mutates shared group/row storage.
   void Seal() const;
 
   /// SINR in dB for the signal tx -> rx on `subchannel`, against every
   /// transmitter appended this epoch except tx and rx themselves.
   ///
-  /// With fading disabled the denominator comes from the receiver's cached
-  /// aggregate row (built lazily per aggregation group, invalidated by
-  /// BeginEpoch, by a change of serving transmitter and by node mobility).
+  /// With fading disabled the SINR comes from the receiver's cached row
+  /// (filled lazily per aggregation group, invalidated by a change of the
+  /// lists at Seal, of the serving transmitter or `signal_scale`, and by
+  /// node mobility).
   /// With fading enabled the mean-power aggregate would be wrong — the
   /// per-subchannel fading term cannot be pre-aggregated — so the query
   /// falls back to per-link summation over the shared list, with each
@@ -92,18 +105,21 @@ class InterferenceMap {
   int num_subchannels() const { return num_subchannels_; }
   /// Distinct transmitter lists this epoch (valid once sealed).
   int num_groups() const { return num_groups_; }
+  /// Version of the sealed lists: unchanged by an epoch whose lists repeat
+  /// the previous sealed ones (bench/test hook, valid once sealed).
+  std::uint64_t epoch() const { return epoch_; }
 
  private:
-  /// Per-receiver cache of aggregate denominators, one slot per
-  /// aggregation group. A row is valid for one (epoch, excluded
-  /// transmitter, mobility stamp) combination; its group slots fill
-  /// lazily, so only queried subchannels pay for aggregation.
+  /// Per-receiver cache of SINRs, one slot per aggregation group. A row
+  /// is valid for one (epoch, excluded transmitter, signal scale, mobility
+  /// stamp) combination; its group slots fill lazily, so only queried
+  /// subchannels pay for aggregation and the log10.
   struct ReceiverRow {
     std::uint64_t epoch = 0;           // InterferenceMap epoch at build
     std::uint64_t position_epoch = 0;  // RadioEnvironment mobility stamp
     RadioNodeId excluded = 0;          // signal source baked out of the sum
-    std::vector<double> denom_mw;      // per aggregation group
-    std::vector<std::uint8_t> built;   // per aggregation group
+    double signal_scale = 0.0;         // signal power fraction
+    std::vector<double> sinr_db;       // per aggregation group, NaN = unset
     /// Compacted contributing-term powers (mW) fed to simd::BlockedSum8.
     /// Receiver-owned, so concurrent queries of distinct receivers never
     /// share it (same ownership rule as the row itself).
@@ -129,10 +145,17 @@ class InterferenceMap {
   const RadioEnvironment& env_;
   int num_subchannels_ = 0;
   double bandwidth_hz_ = 0.0;
-  std::uint64_t epoch_ = 0;
   std::vector<std::vector<ActiveTransmitter>> per_subchannel_;
+  /// The lists `epoch_` describes, once BeginEpoch has swapped them out of
+  /// per_subchannel_ (until then per_subchannel_ still holds them).
+  std::vector<std::vector<ActiveTransmitter>> prev_;
 
   mutable bool sealed_ = false;
+  /// Version of the sealed lists, 0 = nothing sealed yet. Written only by
+  /// Seal, at the serial barrier.
+  mutable std::uint64_t epoch_ = 0;
+  mutable int epoch_num_subchannels_ = 0;    // num_subchannels_ at epoch_
+  mutable double epoch_bandwidth_hz_ = 0.0;  // bandwidth_hz_ at epoch_
   mutable int num_groups_ = 0;
   mutable std::vector<int> group_of_;   // subchannel -> aggregation group
   mutable std::vector<int> group_rep_;  // group -> representative subchannel

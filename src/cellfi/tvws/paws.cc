@@ -60,12 +60,11 @@ Value MakeError(const Value& id, int code, const std::string& message) {
 }
 
 // True when the response's JSON-RPC id is present and equals `expected_id`.
-// A missing or different id marks a stale or misrouted reply (RFC 7545
-// responses must echo the request id).
+// A missing, different or non-integer id marks a stale or misrouted reply
+// (RFC 7545 responses must echo the request id).
 bool ResponseIdMatches(const Value& response, int expected_id) {
   const Value* id = response.Find("id");
-  return id != nullptr && id->is_number() &&
-         static_cast<int>(id->as_number()) == expected_id;
+  return id != nullptr && id->as_integer<int>() == expected_id;
 }
 
 }  // namespace
@@ -137,8 +136,8 @@ std::optional<int> PawsClient::RequestId(const std::string& request) {
   auto v = json::Parse(request);
   if (!v || !v->is_object()) return std::nullopt;
   const Value* id = v->Find("id");
-  if (id == nullptr || !id->is_number()) return std::nullopt;
-  return static_cast<int>(id->as_number());
+  if (id == nullptr) return std::nullopt;
+  return id->as_integer<int>();
 }
 
 std::optional<std::string> PawsClient::ParseInitResponse(const std::string& body,
@@ -207,8 +206,12 @@ std::optional<AvailSpectrumResponse> PawsClient::ParseAvailSpectrumResponse(
         const Value* dbm = profile.Find("dbm");
         const Value* ch = profile.Find("channelNumber");
         if (hz == nullptr || dbm == nullptr || ch == nullptr) continue;
+        // A profile that is present but mistyped (a string channel, a null
+        // power, a channel that is no int) invalidates the response.
+        const std::optional<int> number = ch->as_integer<int>();
+        if (!hz->is_number() || !dbm->is_number() || !number) return std::nullopt;
         ChannelAvailability a = avail;
-        a.channel.number = static_cast<int>(ch->as_number());
+        a.channel.number = *number;
         a.channel.regulatory = regulatory_;
         a.max_eirp_dbm = dbm->as_number();
         out.channels.push_back(a);

@@ -140,8 +140,7 @@ void PawsSession::OnResponse(std::uint64_t id, std::uint64_t generation,
   }
   if (expected_id != PawsClient::kAnyRequestId) {
     const json::Value* rid = parsed->Find("id");
-    if (rid == nullptr || !rid->is_number() ||
-        static_cast<int>(rid->as_number()) != expected_id) {
+    if (rid == nullptr || rid->as_integer<int>() != expected_id) {
       ++counters_.id_mismatches;
       OnAttemptFailed(r);
       return;

@@ -1,5 +1,6 @@
 #include "cellfi/tvws/paws_transport.h"
 
+#include <cstdint>
 #include <utility>
 
 #include "cellfi/common/json.h"
@@ -58,7 +59,8 @@ std::string FaultyTransport::ApplyResponseFaults(const std::string& response) {
     if (auto parsed = json::Parse(response); parsed && parsed->is_object()) {
       ++counters_.ids_mangled;
       const json::Value* id = parsed->Find("id");
-      const int old_id = id != nullptr && id->is_number() ? static_cast<int>(id->as_number()) : 0;
+      const std::int64_t old_id =
+          id != nullptr ? id->as_integer<int>().value_or(0) : 0;
       (*parsed)["id"] = old_id + 1'000'000;
       return parsed->Dump();
     }

@@ -102,6 +102,83 @@ TEST_P(InterferenceMapTest, DistinctListsPerSubchannelStayExact) {
   EXPECT_EQ(imap.num_groups(), 12);
 }
 
+TEST_P(InterferenceMapTest, RepeatedListsReuseTheEpochAndStayExact) {
+  // Receiver rows outlive BeginEpoch whenever the lists repeat. Walk an
+  // epoch sequence that reuses, leaves and re-enters the same lists, moves
+  // a node under a reused epoch, and changes only the bandwidth or one
+  // power scale; every query must still equal the per-link oracle bit for
+  // bit, for several (signal source, signal scale) keys per receiver.
+  const bool fading = GetParam();
+  World w(EnvConfig(fading));
+  InterferenceMap imap(w.env);
+  using Lists = std::vector<std::vector<ActiveTransmitter>>;
+  // A: the signal source everywhere plus interferer i unless (i + s) % 3 ==
+  // 0 — three aggregation groups. B: A without the first interferer.
+  Lists a(13);
+  for (int s = 0; s < 13; ++s) {
+    auto& list = a[static_cast<std::size_t>(s)];
+    list.push_back({w.tx, 1.0 / 13.0});
+    for (std::size_t i = 0; i < w.others.size(); ++i) {
+      if ((i + static_cast<std::size_t>(s)) % 3 != 0) list.push_back({w.others[i], 1.0 / 13.0});
+    }
+  }
+  Lists b = a;
+  for (auto& list : b) {
+    std::erase_if(list, [&](const ActiveTransmitter& t) { return t.node == w.others[0]; });
+  }
+  Lists a_scaled = a;
+  a_scaled[4].back().power_scale = 1.0 / 26.0;
+
+  struct Key {
+    RadioNodeId tx;
+    RadioNodeId rx;
+    double signal_scale;
+  };
+  const std::vector<Key> keys = {{w.tx, w.rx, 1.0 / 13.0},         {w.tx, w.rx, 1.0},
+                                 {w.others[1], w.rx, 1.0 / 13.0},  {w.tx, w.rx, 1.0 / 13.0},
+                                 {w.tx, w.others[5], 1.0 / 13.0},  {w.tx, w.others[5], 0.5}};
+  SimTime now = 0;
+  auto run_epoch = [&](const Lists& lists, double bandwidth_hz, const char* when) {
+    now += 30 * kMillisecond;  // with fading on, crosses coherence blocks
+    imap.BeginEpoch(13, bandwidth_hz);
+    for (int s = 0; s < 13; ++s) {
+      for (const ActiveTransmitter& t : lists[static_cast<std::size_t>(s)]) {
+        imap.AddTransmitter(s, t.node, t.power_scale);
+      }
+    }
+    imap.Seal();
+    for (const Key& k : keys) {
+      for (int s = 0; s < 13; ++s) {
+        const double oracle =
+            w.env.SinrDb(k.tx, k.rx, static_cast<std::uint32_t>(s), now,
+                         lists[static_cast<std::size_t>(s)], bandwidth_hz, k.signal_scale);
+        EXPECT_EQ(imap.SinrDb(k.tx, k.rx, s, now, k.signal_scale), oracle)
+            << when << " fading=" << fading << " tx=" << k.tx << " rx=" << k.rx
+            << " scale=" << k.signal_scale << " s=" << s;
+      }
+    }
+    return imap.epoch();
+  };
+
+  const std::uint64_t first = run_epoch(a, 360e3, "A");
+  EXPECT_EQ(imap.num_groups(), 3);
+  EXPECT_EQ(run_epoch(a, 360e3, "A again"), first);
+  // An epoch begun and abandoned before Seal leaves the comparison base.
+  imap.BeginEpoch(13, 360e3);
+  imap.AddTransmitter(0, w.others[2], 1.0);
+  EXPECT_EQ(run_epoch(a, 360e3, "A after an abandoned epoch"), first);
+  const std::uint64_t after_b = run_epoch(b, 360e3, "B");
+  EXPECT_GT(after_b, first);
+  const std::uint64_t back_to_a = run_epoch(a, 360e3, "back to A");
+  EXPECT_GT(back_to_a, after_b);
+  // Mobility under a reused epoch: only position_epoch invalidates rows.
+  w.env.MoveNode(w.others[3], {150, -80});
+  EXPECT_EQ(run_epoch(a, 360e3, "A after MoveNode"), back_to_a);
+  const std::uint64_t wide = run_epoch(a, 720e3, "A at another bandwidth");
+  EXPECT_GT(wide, back_to_a);
+  EXPECT_GT(run_epoch(a_scaled, 720e3, "A with one power scale changed"), wide);
+}
+
 INSTANTIATE_TEST_SUITE_P(FadingOnOff, InterferenceMapTest, ::testing::Bool());
 
 // ---------------------------------------------------------------------------
@@ -188,10 +265,9 @@ class OracleNetwork {
   std::size_t interferer_terms_ = 0;
 };
 
-TEST(InterferenceEngineNetworkTest, LockstepBitIdentityAcrossActivityAndMobility) {
-  // Four loaded cells, so every UE sees three interferers per subchannel:
-  // enough terms that a change in their summation order changes the bits.
-  OracleNetwork d;
+/// Four loaded cells, so every UE sees three interferers per subchannel:
+/// enough terms that a change in their summation order changes the bits.
+lte::UeId LoadFourCells(OracleNetwork& d) {
   for (const Point cell : {Point{0, 0}, Point{900, 0}, Point{0, 900}, Point{900, 900}}) {
     d.AddCellAt(cell);
     d.AddUeAt(cell + Point{100, 50});
@@ -202,35 +278,63 @@ TEST(InterferenceEngineNetworkTest, LockstepBitIdentityAcrossActivityAndMobility
   d.sim_.RunUntil(300 * kMillisecond);
   for (lte::UeId u = 0; u < num_ues; ++u) d.net_.OfferDownlink(u, 8 << 20);
   d.sim_.RunUntil(500 * kMillisecond);
+  return num_ues;
+}
 
-  auto expect_oracle = [&](const char* when) {
-    const std::size_t terms_before = d.interferer_terms_;
-    for (lte::UeId u = 0; u < num_ues; ++u) {
-      const std::vector<double> engine = d.net_.MeasureDownlinkSinr(u);
-      const std::vector<double> oracle = d.OracleSinr(u);
-      ASSERT_EQ(engine.size(), oracle.size());
-      for (std::size_t s = 0; s < engine.size(); ++s) {
-        EXPECT_EQ(engine[s], oracle[s]) << when << " ue=" << u << " s=" << s;
-      }
+/// Every UE's MeasureDownlinkSinr equals the oracle bit for bit. With
+/// `require_terms`, the oracle must have summed interferers (the check
+/// sits in a loaded downlink subframe, so it is not vacuous).
+void ExpectOracle(OracleNetwork& d, lte::UeId num_ues, const char* when,
+                  bool require_terms = true) {
+  const std::size_t terms_before = d.interferer_terms_;
+  for (lte::UeId u = 0; u < num_ues; ++u) {
+    const std::vector<double> engine = d.net_.MeasureDownlinkSinr(u);
+    const std::vector<double> oracle = d.OracleSinr(u);
+    ASSERT_EQ(engine.size(), oracle.size());
+    for (std::size_t s = 0; s < engine.size(); ++s) {
+      EXPECT_EQ(engine[s], oracle[s]) << when << " ue=" << u << " s=" << s;
     }
-    // Non-vacuous: each checkpoint sits in a loaded downlink subframe.
+  }
+  if (require_terms) {
     EXPECT_GT(d.interferer_terms_, terms_before) << when;
-  };
-  expect_oracle("steady state");
+  }
+}
+
+TEST(InterferenceEngineNetworkTest, LockstepBitIdentityAcrossActivityAndMobility) {
+  OracleNetwork d;
+  const lte::UeId num_ues = LoadFourCells(d);
+  ExpectOracle(d, num_ues, "steady state");
 
   // Activity toggle: the engine must invalidate its map and CRS cache.
   d.net_.SetCellActive(1, false);
-  expect_oracle("after deactivate");
+  ExpectOracle(d, num_ues, "after deactivate");
   d.net_.SetCellActive(1, true);
   d.sim_.RunUntil(700 * kMillisecond);
-  expect_oracle("after reactivate + run");
+  ExpectOracle(d, num_ues, "after reactivate + run");
 
   // Mobility: position_epoch must invalidate the aggregate rows and the
   // CRS cache, both within the current map epoch and across later ones.
   d.env_.MoveNode(d.ue_radios_[0], {700, 120});
-  expect_oracle("after mobility");
+  ExpectOracle(d, num_ues, "after mobility");
   d.sim_.RunUntil(900 * kMillisecond);
-  expect_oracle("after mobility + run");
+  ExpectOracle(d, num_ues, "after mobility + run");
+}
+
+TEST(InterferenceEngineNetworkTest, MeasureBetweenSubframesAcrossUplink) {
+  // Uplink subframes resolve on their own map and leave the downlink map's
+  // rows in place, but they overwrite the committed plans: a measurement
+  // right after one must see no downlink data, and the next downlink
+  // subframe must rebuild from its own plans.
+  OracleNetwork d;
+  const lte::UeId num_ues = LoadFourCells(d);
+  const TddConfig& tdd = d.net_.cell(0).tdd();
+  SimTime t = d.sim_.Now() + kSubframeDuration;
+  while (tdd.TypeAt(t) != SubframeType::kUplink) t += kSubframeDuration;
+  d.sim_.RunUntil(t);
+  ExpectOracle(d, num_ues, "right after an uplink subframe", /*require_terms=*/false);
+  while (tdd.TypeAt(t) != SubframeType::kDownlink) t += kSubframeDuration;
+  d.sim_.RunUntil(t);
+  ExpectOracle(d, num_ues, "after the next downlink subframe");
 }
 
 // ---------------------------------------------------------------------------

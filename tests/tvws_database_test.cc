@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "cellfi/tvws/paws.h"
 
 namespace cellfi::tvws {
@@ -149,6 +153,61 @@ TEST(PawsTest, AvailSpectrumRejectsOutOfRangeLeaseTime) {
   // 1e300 ns fits no SimTime: the response is rejected, not wrapped.
   (*v)["result"]["spectrumSchedules"].as_array().at(0)["eventTime"]["startTimeNs"] = 1e300;
   EXPECT_FALSE(client.ParseAvailSpectrumResponse(v->Dump()).has_value());
+}
+
+TEST(PawsTest, AvailSpectrumRejectsMistypedProfileFields) {
+  SpectrumDatabase db;
+  PawsServer server(db);
+  PawsClient client({.serial_number = "ap-1"}, Regulatory::kUs);
+  server.Handle(client.BuildInitRequest(kHere), 0);
+  const auto good = json::Parse(server.Handle(client.BuildAvailSpectrumRequest(kHere, true), 0));
+  ASSERT_TRUE(good.has_value());
+  ASSERT_TRUE(client.ParseAvailSpectrumResponse(good->Dump()).has_value());
+  // Each probe retypes one field of the first profile: a string or a
+  // fractional channel, a channel past int, a null power, a string
+  // frequency. The response is rejected; nothing throws or truncates.
+  const std::vector<std::pair<const char*, json::Value>> probes = {
+      {"channelNumber", json::Value("21")}, {"channelNumber", json::Value(21.5)},
+      {"channelNumber", json::Value(3e9)},  {"dbm", json::Value(nullptr)},
+      {"hz", json::Value("600e6")}};
+  for (const auto& [field, value] : probes) {
+    json::Value v = *good;
+    v["result"]["spectrumSchedules"].as_array().at(0)["spectra"].as_array().at(0)["profiles"]
+        .as_array()
+        .at(0)[field] = value;
+    std::optional<AvailSpectrumResponse> parsed;
+    EXPECT_NO_THROW(parsed = client.ParseAvailSpectrumResponse(v.Dump()))
+        << field << "=" << value.Dump();
+    EXPECT_FALSE(parsed.has_value()) << field << "=" << value.Dump();
+  }
+}
+
+TEST(PawsTest, NonIntegerIdsNeverMatch) {
+  SpectrumDatabase db;
+  PawsServer server(db);
+  PawsClient client({.serial_number = "ap-1"}, Regulatory::kUs);
+  const std::string init_request = client.BuildInitRequest(kHere);
+  const auto init_id = PawsClient::RequestId(init_request);
+  ASSERT_TRUE(init_id.has_value());
+  auto init = json::Parse(server.Handle(init_request, 0));
+  ASSERT_TRUE(init.has_value());
+  ASSERT_TRUE(client.ParseInitResponse(init->Dump(), *init_id).has_value());
+  const std::string request = client.BuildAvailSpectrumRequest(kHere, true);
+  const auto id = PawsClient::RequestId(request);
+  ASSERT_TRUE(id.has_value());
+  auto avail = json::Parse(server.Handle(request, 0));
+  ASSERT_TRUE(avail.has_value());
+  ASSERT_TRUE(client.ParseAvailSpectrumResponse(avail->Dump(), *id).has_value());
+  // A fractional id once truncated onto the expected one; a huge one was a
+  // float-cast overflow. Both are mismatches now.
+  for (const double bad : {*id + 0.5, 1e300}) {
+    (*avail)["id"] = bad;
+    EXPECT_FALSE(client.ParseAvailSpectrumResponse(avail->Dump(), *id).has_value()) << bad;
+    (*init)["id"] = bad;
+    EXPECT_FALSE(client.ParseInitResponse(init->Dump(), *init_id).has_value()) << bad;
+  }
+  EXPECT_FALSE(PawsClient::RequestId(R"({"id":7.5})").has_value());
+  EXPECT_FALSE(PawsClient::RequestId(R"({"id":"7"})").has_value());
 }
 
 TEST(PawsTest, SlaveRequestGetsClientPowerCap) {

@@ -8,11 +8,16 @@
 //    successful lease confirmation, for every outage length and poll rate.
 #include "cellfi/tvws/paws_session.h"
 
+#include <functional>
+#include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cellfi/common/json.h"
 #include "cellfi/obs/trace.h"
 #include "cellfi/scenario/outage.h"
 #include "cellfi/tvws/paws_transport.h"
@@ -42,6 +47,45 @@ class ScriptedTransport final : public PawsTransport {
   InProcessTransport inner_;
   int drop_first_;
 };
+
+/// Forwards to an inner transport and rewrites every response body.
+class RewritingTransport final : public PawsTransport {
+ public:
+  using Rewrite = std::function<std::string(const std::string&)>;
+  RewritingTransport(PawsTransport& inner, Rewrite rewrite)
+      : inner_(inner), rewrite_(std::move(rewrite)) {}
+
+  void Send(const std::string& request, ResponseHandler on_response) override {
+    inner_.Send(request, [this, on_response = std::move(on_response)](
+                             const std::string& response) { on_response(rewrite_(response)); });
+  }
+
+ private:
+  PawsTransport& inner_;
+  Rewrite rewrite_;
+};
+
+/// `body` with its top-level "id" set to `value`.
+std::string SetResponseId(const std::string& body, const json::Value& value) {
+  auto v = json::Parse(body);
+  if (!v || !v->is_object()) return body;
+  (*v)["id"] = value;
+  return v->Dump();
+}
+
+/// `body` with `field` of its first avail-spectrum profile set to `value`;
+/// other responses pass through unchanged.
+std::string SetFirstProfileField(const std::string& body, const char* field,
+                                 const json::Value& value) {
+  auto v = json::Parse(body);
+  if (!v || !v->is_object() || v->Find("result") == nullptr) return body;
+  json::Value& result = (*v)["result"];
+  if (result.Find("spectrumSchedules") == nullptr) return body;
+  result["spectrumSchedules"].as_array().at(0)["spectra"].as_array().at(0)["profiles"]
+      .as_array()
+      .at(0)[field] = value;
+  return v->Dump();
+}
 
 class SessionFixture : public ::testing::Test {
  protected:
@@ -179,6 +223,80 @@ TEST_F(SessionFixture, SessionRejectsMangledResponseIds) {
   EXPECT_FALSE(got.has_value());
   EXPECT_EQ(session.counters().id_mismatches, 4u);
   EXPECT_EQ(faulty.counters().ids_mangled, 4u);
+}
+
+TEST_F(SessionFixture, SessionRejectsFractionalResponseIds) {
+  // id + 0.5 once truncated onto the expected id and was accepted.
+  InProcessTransport wire(sim_, server_);
+  RewritingTransport fractional(wire, [](const std::string& body) {
+    auto v = json::Parse(body);
+    const json::Value* id = v ? v->Find("id") : nullptr;
+    if (id == nullptr || !id->is_number()) return body;
+    return SetResponseId(body, json::Value(id->as_number() + 0.5));
+  });
+  PawsClient client({.serial_number = "s9"}, Regulatory::kUs);
+  PawsSession session(sim_, client, fractional, NoJitterConfig());
+
+  std::optional<std::string> got = "sentinel";
+  session.Init(kHere, [&](std::optional<std::string> ruleset) { got = std::move(ruleset); });
+  sim_.Run();
+
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(session.counters().id_mismatches, 4u);
+}
+
+TEST_F(SessionFixture, SessionRejectsMistypedProfilesWithoutThrowing) {
+  // Each mistyped field once threw std::bad_variant_access out of the
+  // response handler or cast 3e9 to int; the session now counts a parse
+  // failure and retries, then reports the request lost.
+  const std::vector<std::pair<const char*, json::Value>> probes = {
+      {"channelNumber", json::Value("21")},
+      {"dbm", json::Value(nullptr)},
+      {"channelNumber", json::Value(3e9)}};
+  for (const auto& [field, value] : probes) {
+    Simulator sim;
+    SpectrumDatabase db;
+    PawsServer server(db);
+    InProcessTransport wire(sim, server);
+    RewritingTransport mistyped(wire, [field = field, value = value](const std::string& body) {
+      return SetFirstProfileField(body, field, value);
+    });
+    PawsClient client({.serial_number = "s10"}, Regulatory::kUs);
+    server.Handle(client.BuildInitRequest(kHere), 0);
+    PawsSession session(sim, client, mistyped, NoJitterConfig());
+
+    std::optional<AvailSpectrumResponse> got = AvailSpectrumResponse{};
+    session.GetSpectrum(kHere, /*master=*/true,
+                        [&](std::optional<AvailSpectrumResponse> r) { got = std::move(r); });
+    EXPECT_NO_THROW(sim.Run()) << field;
+    EXPECT_FALSE(got.has_value()) << field;
+    EXPECT_EQ(session.counters().parse_failures, 4u) << field;
+  }
+}
+
+TEST_F(SessionFixture, MangledIdOfTheLargestIntDoesNotOverflow) {
+  // FaultyTransport's wrong-id fault adds 1'000'000 to the response id;
+  // at INT_MAX that was signed overflow. It is now computed in 64 bits.
+  InProcessTransport wire(sim_, server_);
+  RewritingTransport max_id(wire, [](const std::string& body) {
+    return SetResponseId(body, json::Value(std::numeric_limits<int>::max()));
+  });
+  FaultProfile profile;
+  profile.wrong_id_probability = 1.0;
+  FaultyTransport faulty(sim_, max_id, profile);
+  PawsClient client({.serial_number = "s11"}, Regulatory::kUs);
+
+  std::string delivered;
+  faulty.Send(client.BuildInitRequest(kHere),
+              [&](const std::string& response) { delivered = response; });
+  sim_.Run();
+
+  const auto v = json::Parse(delivered);
+  ASSERT_TRUE(v.has_value());
+  ASSERT_NE(v->Find("id"), nullptr);
+  EXPECT_EQ(v->Find("id")->as_number(),
+            static_cast<double>(std::numeric_limits<int>::max()) + 1'000'000.0);
+  EXPECT_EQ(faulty.counters().ids_mangled, 1u);
 }
 
 TEST_F(SessionFixture, SessionRejectsCorruptJson) {

@@ -11,7 +11,7 @@
 #                       (skips cleanly when clang-tidy is not installed)
 #
 # Usage: tools/check.sh [--fast] [--bench] [--shard] [--simd] [--purity]
-#                       [--static]
+#                       [--perfbench] [--static]
 #   --fast   skip the sanitizer stage (inner-loop use; CI runs everything)
 #   --bench  additionally run the bench_smoke suite (1-rep end-to-end runs
 #            of every sweep bench, including the bench_scale bit-identity
@@ -34,6 +34,13 @@
 #            (tools/cellfi_purity.py --repo . --strict-allow) against the
 #            frozen (empty) baseline — the static proof of the DESIGN.md
 #            §16 determinism contracts.
+#   --perfbench additionally run the perfbench digest gate: the driver's
+#            equivalence self-test (`perfbench/run.py --selftest`), then one
+#            full untraced 1 s pass of every workload (`--seed 0
+#            --seconds 1`), which checks every sample's output digest
+#            against perfbench/expected_digests.json and fails on any
+#            mismatch or invariant violation. About 25 s plus the driver
+#            build (into $CARGO_TARGET_DIR, default .bench_build/).
 #   --static run ONLY the static gates — determinism lint (--strict-allow),
 #            clang-tidy vs baseline, and the purity analyzer — with a
 #            configure-only cmake step for compile_commands.json and no
@@ -49,6 +56,7 @@ BENCH=0
 SHARD=0
 SIMD=0
 PURITY=0
+PERFBENCH=0
 STATIC=0
 for arg in "$@"; do
   case "$arg" in
@@ -57,6 +65,7 @@ for arg in "$@"; do
     --shard) SHARD=1 ;;
     --simd) SIMD=1 ;;
     --purity) PURITY=1 ;;
+    --perfbench) PERFBENCH=1 ;;
     --static) STATIC=1 ;;
     *) echo "check.sh: unknown argument '$arg'" >&2; exit 2 ;;
   esac
@@ -136,6 +145,16 @@ if [[ "$PURITY" -eq 1 ]]; then
   step "phase-purity analyzer vs frozen baseline"
   python3 tools/cellfi_purity.py --repo "$ROOT" --strict-allow \
     --build-dir "$ROOT/build-check"
+fi
+
+if [[ "$PERFBENCH" -eq 1 ]]; then
+  step "perfbench driver self-test (equivalence with RunScenarioOn, env pin)"
+  python3 perfbench/run.py --selftest
+
+  for workload in fig9_cellfi fig9_lte_mobile metro_lte; do
+    step "perfbench digest pass: $workload (seed 0, one untraced pass)"
+    python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 1
+  done
 fi
 
 if [[ "$BENCH" -eq 1 ]]; then
