@@ -102,51 +102,6 @@ void BM_BluesteinDftInto839Scalar(benchmark::State& state) {
 }
 BENCHMARK(BM_BluesteinDftInto839Scalar);
 
-// SINR denominator accumulation kernel in isolation, over the three
-// summation strategies: the pre-§17 serial left-to-right loop, the blocked
-// 8-lane order on the scalar path, and the dispatched SIMD kernel. The
-// blocked orders produce identical bits to each other (not to serial —
-// that reassociation is the one-time epsilon audited by
-// simd_kernels_test).
-void BM_DenomAccumSerial(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(8);
-  std::vector<double> terms(n);
-  for (auto& t : terms) t = rng.Uniform(1e-12, 1e-6);
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (double t : terms) acc += t;
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_DenomAccumSerial)->Arg(256)->Arg(1024);
-
-void BM_DenomAccumBlockedScalar(benchmark::State& state) {
-  ScopedForceScalar scalar_only(true);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(8);
-  std::vector<double> terms(n);
-  for (auto& t : terms) t = rng.Uniform(1e-12, 1e-6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::BlockedSum8(terms.data(), terms.size()));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_DenomAccumBlockedScalar)->Arg(256)->Arg(1024);
-
-void BM_DenomAccumBlockedSimd(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(8);
-  std::vector<double> terms(n);
-  for (auto& t : terms) t = rng.Uniform(1e-12, 1e-6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::BlockedSum8(terms.data(), terms.size()));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_DenomAccumBlockedSimd)->Arg(256)->Arg(1024);
-
 void BM_OfdmModulate(benchmark::State& state) {
   OfdmParams params;
   Rng rng(7);

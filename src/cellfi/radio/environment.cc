@@ -143,9 +143,8 @@ double RadioEnvironment::SinrDb(RadioNodeId tx, RadioNodeId rx, std::uint32_t su
   // Blocked accumulation (DESIGN.md §17): contributing term i goes to lane
   // i mod 8, lanes combine with the fixed ReduceLanes8 tree. Skipped
   // entries are compacted out (they never occupy a lane), so the value
-  // depends only on the contributing-term sequence — the same sequence
-  // InterferenceMap::AggregateDenomMw feeds simd::BlockedSum8, keeping the
-  // engine and this per-link path bit-identical.
+  // depends only on the contributing-term sequence. This is the one SINR
+  // kernel: InterferenceMap caches and returns its values.
   double lanes[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
   std::size_t m = 0;
   for (const ActiveTransmitter& it : interferers) {

@@ -109,6 +109,11 @@ class RadioEnvironment {
   /// transmission concentrating full power into n_alloc subchannels).
   /// With fading on, each (tx, subchannel) fading gain is computed once per
   /// coherence block per receiver and then read from the receiver's cache.
+  ///
+  /// The only SINR kernel: InterferenceMap::SinrDb returns its values, so
+  /// it runs on shard workers. Its writes go only to the caches of `rx`.
+  // cellfi-purity: contract-root(parallel-shard-phase) RadioEnvironment::SinrDb
+  // cellfi-purity: contract-root(imap-sealed-read) RadioEnvironment::SinrDb
   double SinrDb(RadioNodeId tx, RadioNodeId rx, std::uint32_t subchannel, SimTime now,
                 const std::vector<ActiveTransmitter>& interferers,
                 double bandwidth_hz, double signal_scale = 1.0) const;

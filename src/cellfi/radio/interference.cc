@@ -5,9 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "cellfi/common/simd.h"
-#include "cellfi/common/units.h"
-
 namespace cellfi {
 
 namespace {
@@ -97,49 +94,6 @@ void InterferenceMap::Seal() const {
     }
     group_of_[static_cast<std::size_t>(s)] = group;
   }
-  // Flatten each group's representative list into structure-of-arrays term
-  // rows. power_scale <= 0 entries are dropped here once — both query
-  // paths skip them unconditionally, so the contributing-term sequence is
-  // unchanged — leaving the aggregation two dense arrays to stream.
-  if (group_terms_.size() < static_cast<std::size_t>(num_groups_)) {
-    group_terms_.resize(static_cast<std::size_t>(num_groups_));
-  }
-  for (int g = 0; g < num_groups_; ++g) {
-    GroupTerms& gt = group_terms_[static_cast<std::size_t>(g)];
-    gt.node.clear();
-    gt.scale.clear();
-    for (const ActiveTransmitter& it : per_subchannel_[static_cast<std::size_t>(
-             group_rep_[static_cast<std::size_t>(g)])]) {
-      if (it.power_scale <= 0.0) continue;
-      gt.node.push_back(it.node);
-      gt.scale.push_back(it.power_scale);
-    }
-  }
-}
-
-double InterferenceMap::AggregateDenomMw(RadioNodeId tx, RadioNodeId rx,
-                                         int group,
-                                         std::vector<double>& terms) const {
-  // Same contributing-term sequence as RadioEnvironment::SinrDb — the same
-  // cached mean powers gathered in list order — compacted into `terms` and
-  // summed in the fixed 8-lane blocked order (simd::BlockedSum8, DESIGN.md
-  // §17). Keeping sequence and order identical is what makes the engine
-  // bit-identical to the per-link path, in scalar and SIMD builds alike.
-  const double noise_mw = env_.NoiseMw(rx, bandwidth_hz_);
-  const GroupTerms& gt = group_terms_[static_cast<std::size_t>(group)];
-  const std::size_t count = gt.node.size();
-  // Presized index stores, not push_back: no per-element capacity branch
-  // in the hot loop (capacity persists across epochs in the receiver row).
-  if (terms.size() < count) terms.resize(count);
-  double* out = terms.data();
-  std::size_t m = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const RadioNodeId node = gt.node[i];
-    const double scale = gt.scale[i];
-    if (node == tx || node == rx) continue;
-    out[m++] = env_.MeanRxPowerMw(node, rx) * scale;
-  }
-  return noise_mw + simd::BlockedSum8(out, m);
 }
 
 double InterferenceMap::SinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
@@ -147,13 +101,13 @@ double InterferenceMap::SinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
   assert(subchannel >= 0 && subchannel < num_subchannels_);
   Seal();
 
-  if (env_.config().enable_fading) {
-    // Fading is per (link, subchannel, time): the mean-power aggregate
-    // cannot stand in for it, so sum per link over the shared list.
+  const auto sinr_db_of_list = [&] {
     return env_.SinrDb(tx, rx, static_cast<std::uint32_t>(subchannel), now,
                        per_subchannel_[static_cast<std::size_t>(subchannel)],
                        bandwidth_hz_, signal_scale);
-  }
+  };
+  // Fading is per (link, subchannel, time): no group value stands in for it.
+  if (env_.config().enable_fading) return sinr_db_of_list();
 
   if (rows_.size() < env_.node_count()) rows_.resize(env_.node_count());
   ReceiverRow& row = rows_[rx];
@@ -169,11 +123,7 @@ double InterferenceMap::SinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
   const std::size_t g =
       static_cast<std::size_t>(group_of_[static_cast<std::size_t>(subchannel)]);
   double& sinr_db = row.sinr_db[g];
-  if (std::isnan(sinr_db)) {
-    const double denom_mw = AggregateDenomMw(tx, rx, static_cast<int>(g), row.terms);
-    const double signal_mw = env_.MeanRxPowerMw(tx, rx) * signal_scale;
-    sinr_db = LinearToDb(signal_mw / denom_mw);
-  }
+  if (std::isnan(sinr_db)) sinr_db = sinr_db_of_list();
   return sinr_db;
 }
 

@@ -18,19 +18,15 @@
 //
 // Every appended transmitter's term counts, however weak (DESIGN.md §12).
 //
-// Determinism contract: SinrDb returns bit-identical values to
-// RadioEnvironment::SinrDb over the same interferer sequence.
-// Both paths gather contributing terms from the same receiver-major
-// rx-power cache rows in append order and accumulate them in the fixed
-// 8-lane blocked order of DESIGN.md §17 (contributing term i -> lane
-// i mod 8, fixed lane-combine tree; here via simd::BlockedSum8 over a
-// compacted structure-of-arrays term row, in the per-link path via inline
-// lanes) — the same floating-point addition sequence, hence identical
-// values, in scalar and SIMD builds alike. Subchannels whose transmitter
-// lists compare equal share one aggregation (identical addition sequence,
-// hence identical value). A cached SINR is a pure function of its row key
-// (epoch, excluded transmitter, signal scale, mobility stamp) and group,
-// so reusing it across epochs returns the same bits a rebuild would.
+// The map computes no SINR itself: every value, cached or not, is one call
+// of RadioEnvironment::SinrDb over the subchannel's shared list, so the
+// engine equals the per-link path by construction. Subchannels whose
+// transmitter lists compare equal share one aggregation group, and with
+// fading off a group's value is one call (the list is the same, and the
+// mean-power SINR does not depend on subchannel or time). A cached SINR is
+// a pure function of its row key (epoch, excluded transmitter, signal
+// scale, mobility stamp) and group, so reusing it across epochs returns
+// the same bits a new call would.
 #pragma once
 
 #include <cstdint>
@@ -80,14 +76,13 @@ class InterferenceMap {
   /// SINR in dB for the signal tx -> rx on `subchannel`, against every
   /// transmitter appended this epoch except tx and rx themselves.
   ///
-  /// With fading disabled the SINR comes from the receiver's cached row
-  /// (filled lazily per aggregation group, invalidated by a change of the
-  /// lists at Seal, of the serving transmitter or `signal_scale`, and by
-  /// node mobility).
-  /// With fading enabled the mean-power aggregate would be wrong — the
-  /// per-subchannel fading term cannot be pre-aggregated — so the query
-  /// falls back to per-link summation over the shared list, with each
-  /// fading gain read from the receiver's cache in RadioEnvironment.
+  /// The value is RadioEnvironment::SinrDb over this subchannel's list.
+  /// With fading disabled it comes from the receiver's cached row (filled
+  /// lazily per aggregation group, invalidated by a change of the lists at
+  /// Seal, of the serving transmitter or `signal_scale`, and by node
+  /// mobility). With fading enabled the value depends on subchannel and
+  /// time, so every query is a fresh call, each fading gain read from the
+  /// receiver's cache in RadioEnvironment.
   ///
   /// Thread safety (DESIGN.md §15): after a serial Seal(), concurrent
   /// SinrDb calls are safe as long as no two threads query the same
@@ -113,34 +108,14 @@ class InterferenceMap {
   /// Per-receiver cache of SINRs, one slot per aggregation group. A row
   /// is valid for one (epoch, excluded transmitter, signal scale, mobility
   /// stamp) combination; its group slots fill lazily, so only queried
-  /// subchannels pay for aggregation and the log10.
+  /// subchannels pay for the RadioEnvironment::SinrDb call.
   struct ReceiverRow {
     std::uint64_t epoch = 0;           // InterferenceMap epoch at build
     std::uint64_t position_epoch = 0;  // RadioEnvironment mobility stamp
     RadioNodeId excluded = 0;          // signal source baked out of the sum
     double signal_scale = 0.0;         // signal power fraction
     std::vector<double> sinr_db;       // per aggregation group, NaN = unset
-    /// Compacted contributing-term powers (mW) fed to simd::BlockedSum8.
-    /// Receiver-owned, so concurrent queries of distinct receivers never
-    /// share it (same ownership rule as the row itself).
-    std::vector<double> terms;
   };
-
-  /// Structure-of-arrays view of one aggregation group's transmitter list
-  /// (power_scale <= 0 entries dropped at Seal — both query paths skip
-  /// them unconditionally), so the aggregation walks two flat arrays
-  /// instead of striding over ActiveTransmitter records.
-  struct GroupTerms {
-    std::vector<RadioNodeId> node;
-    std::vector<double> scale;
-  };
-
-  /// Aggregate denominator for aggregation group `group`: noise floor plus
-  /// the blocked-order sum (simd::BlockedSum8) of the contributing terms,
-  /// compacted into `terms` (the querying receiver's row scratch).
-  // cellfi-purity: contract-root(imap-sealed-read) InterferenceMap::AggregateDenomMw
-  double AggregateDenomMw(RadioNodeId tx, RadioNodeId rx, int group,
-                          std::vector<double>& terms) const;
 
   const RadioEnvironment& env_;
   int num_subchannels_ = 0;
@@ -159,7 +134,6 @@ class InterferenceMap {
   mutable int num_groups_ = 0;
   mutable std::vector<int> group_of_;   // subchannel -> aggregation group
   mutable std::vector<int> group_rep_;  // group -> representative subchannel
-  mutable std::vector<GroupTerms> group_terms_;  // group -> SoA term row
   mutable std::vector<ReceiverRow> rows_;
 };
 

@@ -13,6 +13,7 @@
 
 #include "cellfi/baseline/oracle_allocator.h"
 #include "cellfi/chaos/fault_scheduler.h"
+#include "cellfi/common/env.h"
 #include "cellfi/common/units.h"
 #include "cellfi/core/cellfi_controller.h"
 #include "cellfi/lte/network.h"
@@ -63,8 +64,8 @@ struct ObsSession {
         opt.enabled = true;
         if (opt.trace_path.empty()) opt.trace_path = path;
       }
-      if (const char* ring = std::getenv("CELLFI_TRACE_RING")) {
-        opt.ring_capacity = std::max(1, std::atoi(ring));
+      if (const std::optional<int> ring = EnvInt("CELLFI_TRACE_RING")) {
+        opt.ring_capacity = std::max(1, *ring);
       }
     }
     if (opt.enabled) {
@@ -259,8 +260,8 @@ ScenarioResult RunLteBased(const ScenarioConfig& cfg, const Topology& topo) {
   // bit-identity gates (threads, shards, SIMD).
   traffic::AggregateLoadConfig agg_cfg = cfg.aggregate_load;
   if (agg_cfg.users_per_cell <= 0) {
-    if (const char* users = std::getenv("CELLFI_AGG_LOAD")) {
-      agg_cfg.users_per_cell = std::max(0, std::atoi(users));
+    if (const std::optional<int> users = EnvInt("CELLFI_AGG_LOAD")) {
+      agg_cfg.users_per_cell = std::max(0, *users);
     }
   }
   std::optional<traffic::AggregateLoad> agg;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "cellfi/common/env.h"
 #include "cellfi/common/json.h"
 #include "cellfi/common/simd.h"
 #include "cellfi/scenario/report.h"
@@ -20,14 +21,6 @@ std::uint64_t SplitMix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-int EnvInt(const char* name) {
-  if (const char* env = std::getenv(name)) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 0;
-}
-
 }  // namespace
 
 std::uint64_t SweepSeed(std::uint64_t base, std::uint64_t point, std::uint64_t rep) {
@@ -39,13 +32,13 @@ std::uint64_t SweepSeed(std::uint64_t base, std::uint64_t point, std::uint64_t r
 
 int ResolveThreads(int requested) {
   if (requested > 0) return requested;
-  if (const int env = EnvInt("CELLFI_BENCH_THREADS"); env > 0) return env;
+  if (const int env = EnvInt("CELLFI_BENCH_THREADS").value_or(0); env > 0) return env;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 int ResolveReps(int default_reps) {
-  if (const int env = EnvInt("CELLFI_BENCH_REPS"); env > 0) return env;
+  if (const int env = EnvInt("CELLFI_BENCH_REPS").value_or(0); env > 0) return env;
   return default_reps;
 }
 

@@ -1,22 +1,15 @@
 #include "cellfi/sim/worker_pool.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
+
+#include "cellfi/common/env.h"
 
 namespace cellfi {
 
 namespace {
 
 std::atomic<int> g_active_sweep_threads{0};
-
-int EnvInt(const char* name) {
-  if (const char* env = std::getenv(name)) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 0;
-}
 
 }  // namespace
 
@@ -37,7 +30,7 @@ int ActiveSweepThreads() {
 int ResolveShardThreads(int requested, int shards) {
   if (shards < 1) shards = 1;
   int threads = requested;
-  if (threads <= 0) threads = EnvInt("CELLFI_SHARD_THREADS");
+  if (threads <= 0) threads = EnvInt("CELLFI_SHARD_THREADS").value_or(0);
   if (threads <= 0) {
     // Derived default: never let sweep_threads x shard_threads exceed the
     // machine. With 8 sweep workers on an 8-core box this resolves to 1 —

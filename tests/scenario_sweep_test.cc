@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -154,8 +155,21 @@ TEST(SweepEnvTest, ResolveThreadsAndRepsHonourEnv) {
   EXPECT_EQ(ResolveThreads(2), 2);
   ::unsetenv("CELLFI_BENCH_THREADS");
   ::unsetenv("CELLFI_BENCH_REPS");
-  EXPECT_GE(ResolveThreads(0), 1);
+  const int default_threads = ResolveThreads(0);
+  EXPECT_GE(default_threads, 1);
   EXPECT_EQ(ResolveReps(20), 20);
+  // Only a whole, in-range, positive integer counts; anything else is
+  // unset. Only the Resolve* functions run here: nothing is started with
+  // these values.
+  for (const char* bad : {"2x", "-3", "", "99999999999"}) {
+    SCOPED_TRACE(std::string("value=\"") + bad + "\"");
+    ::setenv("CELLFI_BENCH_THREADS", bad, 1);
+    ::setenv("CELLFI_BENCH_REPS", bad, 1);
+    EXPECT_EQ(ResolveThreads(0), default_threads);
+    EXPECT_EQ(ResolveReps(20), 20);
+  }
+  ::unsetenv("CELLFI_BENCH_THREADS");
+  ::unsetenv("CELLFI_BENCH_REPS");
 }
 
 // Observer-effect test (DESIGN.md §13): instrumentation is strictly

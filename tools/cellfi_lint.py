@@ -80,7 +80,7 @@ UNORDERED_ALIAS_TYPEDEF_RE = re.compile(
     r"\btypedef\s+(?:std\s*::\s*)?unordered_(?:map|set|multimap|multiset)\s*<[^;]*>\s*(\w+)\s*;"
 )
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^;)]*):([^)]*)\)")
-ENV_LOOKUP_RE = re.compile(r"\b(?:getenv|setenv)\s*\(\s*\"([A-Z][A-Z0-9_]+)\"")
+ENV_LOOKUP_RE = re.compile(r"\b(?:getenv|setenv|EnvInt)\s*\(\s*\"([A-Z][A-Z0-9_]+)\"")
 
 
 class Finding:
